@@ -11,7 +11,7 @@ test:            ## tier-1 test suite
 bench:           ## paper-table benchmarks (archive under results/)
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-bench-record:    ## serving scenarios -> BENCH_{4,5}.json + results/engine_{pool_vs_fork,overload,observability}.txt
+bench-record:    ## serving scenarios (serial, pool, batched, overload) -> BENCH_{4,5}.json + results/engine_{serving,overload,observability}.txt
 	$(PY) benchmarks/record_bench.py
 
 bench-ladder:    ## small-rung scale-ladder smoke (asserts columnar/legacy bit-identity; full ladder: --ladder -> BENCH_6.json)

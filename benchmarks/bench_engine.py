@@ -7,15 +7,15 @@ amortises):
   stream of repeated ``(candidates, PF, τ)`` queries answered cold
   (stateless ``select_location``, fleet materialised per query) and
   warm (primed :class:`~repro.engine.QueryEngine`).  Warm must win.
-* ``test_bench_worker_scaling`` — the same stream with candidate-axis
-  sharding at several worker counts, confirming the sharded path stays
+* ``test_bench_worker_scaling`` — the same stream on the worker pool at
+  several worker counts, confirming the pooled path stays
   bit-identical while reporting its latency.  On single-core runners
-  this measures fork overhead, not speedup; the identity check is the
-  point.
-* ``test_bench_fault_recovery`` — the same stream with 4 workers, once
-  fault-free and once with worker 1 crashing on every query's first
-  dispatch, recording the cost of supervision (detect + backoff +
-  re-fork) against the no-fault path.
+  this measures dispatch overhead, not speedup; the identity check is
+  the point.
+* ``test_bench_fault_recovery`` — the same stream with 4 pool workers,
+  once fault-free and once with worker 1 crashing on every query's
+  first dispatch, recording the cost of supervision (detect + backoff
+  + respawn) against the no-fault path.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ def test_bench_serve_warm_vs_cold(benchmark, record):
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 def test_bench_worker_scaling(benchmark, record):
     def sweep():
+        # one shared candidate set at every worker count, so the
+        # cache traffic below is comparable across the sweep
         return [
-            (workers, run_serve_bench(n_queries=6, workers=workers))
+            (workers, run_serve_bench(
+                n_queries=6, workers=workers, distinct_candidates=False
+            ))
             for workers in (0, 2, 4)
         ]
 
@@ -59,7 +63,7 @@ def test_bench_worker_scaling(benchmark, record):
     )
     baseline = results[0][1]
     for workers, result in results:
-        # Sharding must never change the answer (also asserted, with
+        # The pool must never change the answer (also asserted, with
         # full influence tables, in tests/test_engine.py).
         assert result.cache_hits == baseline.cache_hits
         assert result.cache_misses == baseline.cache_misses
@@ -84,8 +88,8 @@ def test_bench_fault_recovery(benchmark, record):
     """Supervision overhead with 1 of 4 workers crashing per query."""
     crash = FaultSpec(kind="crash", worker=1, times=1)
 
-    # PIN shards every query (PIN-VO's warm queries would serve the
-    # sharded pruning phase from the cache and never fork), so the
+    # PIN shards every query (PIN-VO's warm queries could serve the
+    # sharded pruning phase from the cache and never dispatch), so the
     # crash fires on each measured query, not just the priming pass.
     def sweep():
         clean = run_serve_bench(n_queries=6, workers=4, algorithm="PIN")

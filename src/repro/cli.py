@@ -168,7 +168,6 @@ def _cmd_serve(
     port: int,
     host: str,
     workers: int,
-    pool: bool,
     approx: bool,
     max_inflight: int | None,
     max_queue_depth: int | None,
@@ -191,9 +190,6 @@ def _cmd_serve(
         return 2
     if workers < 0:
         print(f"--workers must be >= 0, got {workers}", file=sys.stderr)
-        return 2
-    if pool and workers < 2:
-        print("--pool needs --workers >= 2", file=sys.stderr)
         return 2
     if max_inflight is not None and max_inflight < 1:
         print(
@@ -228,7 +224,7 @@ def _cmd_serve(
             print(f"--inject-fault: {exc}", file=sys.stderr)
             return 2
     engine, _ = build_serving_engine(
-        workers=workers, pool=pool, approx=approx, faults=faults
+        workers=workers, approx=approx, faults=faults
     )
     tenants = TenantAdmission(
         default=TenantBudget(
@@ -256,7 +252,6 @@ def _cmd_serve_bench_server(
     duration: float,
     tenants: int,
     workers: int,
-    pool: bool,
     approx: bool,
     max_inflight: int | None,
     shed_policy: str | None,
@@ -282,7 +277,6 @@ def _cmd_serve_bench_server(
             duration=duration,
             tenants=tenants,
             workers=workers,
-            pool=pool,
             approx=approx,
             max_inflight=max_inflight if max_inflight is not None else 2,
             shed_policy=shed_policy or "reject",
@@ -311,7 +305,6 @@ def _cmd_serve_bench(
     out_csv: str | None,
     deadline: float | None,
     inject_faults: list[str] | None,
-    pool: bool = False,
     batch: bool = False,
     max_inflight: int | None = None,
     shed_policy: str | None = None,
@@ -390,9 +383,9 @@ def _cmd_serve_bench(
             file=sys.stderr,
         )
         return 2
-    if (pool or batch) and workers < 2:
+    if batch and workers < 2:
         print(
-            "--pool/--batch need --workers >= 2 (a worker pool needs "
+            "--batch needs --workers >= 2 (a worker pool needs "
             "at least two workers)",
             file=sys.stderr,
         )
@@ -402,7 +395,6 @@ def _cmd_serve_bench(
         workers=workers,
         deadline_seconds=deadline,
         faults=faults,
-        pool=pool or batch,
         batch=batch,
         max_inflight=max_inflight,
         shed_policy=shed_policy or "reject",
@@ -425,12 +417,12 @@ _ALLOWED_FLAGS = {
     "demo": {"--svg"},
     "serve-bench": {
         "--csv", "--queries", "--workers", "--deadline", "--inject-fault",
-        "--pool", "--batch", "--max-inflight", "--shed-policy", "--breaker",
+        "--batch", "--max-inflight", "--shed-policy", "--breaker",
         "--trace", "--metrics-port", "--approx", "--server", "--server-url",
         "--offered-qps", "--duration", "--tenants",
     },
     "serve": {
-        "--port", "--host", "--workers", "--pool", "--approx",
+        "--port", "--host", "--workers", "--approx",
         "--max-inflight", "--max-queue-depth", "--shed-policy",
         "--drain-seconds", "--inject-fault",
     },
@@ -502,7 +494,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="with 'serve-bench': worker processes (default 0 = serial)",
+        help=(
+            "with 'serve-bench'/'serve': worker pool size (default 0 = "
+            "serial; N >= 2 serves from a pool of N worker processes)"
+        ),
     )
     parser.add_argument(
         "--deadline",
@@ -525,22 +520,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--pool",
-        action="store_true",
-        default=False,
-        help=(
-            "with 'serve-bench': serve warm queries from the "
-            "persistent shared-memory worker pool instead of forking "
-            "per query (needs --workers >= 2)"
-        ),
-    )
-    parser.add_argument(
         "--batch",
         action="store_true",
         default=False,
         help=(
             "with 'serve-bench': admit all warm queries in one "
-            "query_batch round through the pool (implies --pool)"
+            "query_batch round through the worker pool (needs "
+            "--workers >= 2)"
         ),
     )
     parser.add_argument(
@@ -701,8 +687,6 @@ def main(argv: list[str] | None = None) -> int:
         provided.add("--deadline")
     if args.inject_fault is not None:
         provided.add("--inject-fault")
-    if args.pool:
-        provided.add("--pool")
     if args.batch:
         provided.add("--batch")
     if args.max_inflight is not None:
@@ -761,7 +745,6 @@ def main(argv: list[str] | None = None) -> int:
             port=args.port if args.port is not None else 8321,
             host=args.host or "127.0.0.1",
             workers=args.workers if args.workers is not None else 0,
-            pool=args.pool,
             approx=args.approx,
             max_inflight=args.max_inflight,
             max_queue_depth=args.max_queue_depth,
@@ -777,7 +760,6 @@ def main(argv: list[str] | None = None) -> int:
             duration=args.duration if args.duration is not None else 3.0,
             tenants=args.tenants if args.tenants is not None else 2,
             workers=args.workers if args.workers is not None else 0,
-            pool=args.pool,
             approx=args.approx,
             max_inflight=args.max_inflight,
             shed_policy=args.shed_policy,
@@ -790,7 +772,6 @@ def main(argv: list[str] | None = None) -> int:
             out_csv=args.csv,
             deadline=args.deadline,
             inject_faults=args.inject_fault,
-            pool=args.pool,
             batch=args.batch,
             max_inflight=args.max_inflight,
             shed_policy=args.shed_policy,

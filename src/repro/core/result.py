@@ -61,10 +61,10 @@ class Instrumentation:
     #: uniformly additive; any nonzero value means "degraded")
     degraded: int = 0
     #: span tasks this query handed to the persistent worker pool,
-    #: including re-dispatches after failures (0 on the fork path)
+    #: including re-dispatches after failures (0 on the serial tier)
     spans_dispatched: int = 0
     #: pool workers killed and replaced while this query (or the batch
-    #: round serving it) ran (0 on the fork path)
+    #: round serving it) ran
     pool_respawns: int = 0
     #: engine cache entries evicted while this query was served (the
     #: serving engine's bounded LRU caches; 0 outside the engine)

@@ -5,27 +5,25 @@
   per candidate set, PIN-VO pruning output) with hit/miss counters, a
   JSONL metrics log, and batched admission
   (:meth:`QueryEngine.query_batch`),
-* :mod:`repro.engine.pool` — the persistent shared-memory worker pool
-  (``pool=True``): long-lived workers attach the columnar fleet/table
-  exports once and serve candidate-span tasks from a dispatch queue,
-* :mod:`repro.engine.parallel` — fork-based candidate-axis sharding,
-  bit-identical to serial execution, supervised (per-shard retry with
-  bounded backoff, degrade-to-serial, hard deadline kills); the
-  fallback when no pool is enabled (or a PF cannot be pickled),
+* :mod:`repro.engine.pool` — the persistent shared-memory worker pool,
+  the engine's one parallel tier (``workers > 1``): long-lived workers
+  attach the columnar fleet/table exports once and serve candidate-span
+  tasks, bit-identical to serial execution, supervised (per-span retry
+  with bounded backoff, degrade-to-serial, hard deadline kills),
 * :mod:`repro.engine.faults` — fault-injection hooks (worker crash,
   injected exception, artificial delay, plus the parent-side
-  ``overload``/``memory-pressure`` kinds) and the supervisor policy
-  and report types,
+  ``overload``/``memory-pressure`` kinds) and the supervisor, its
+  policy and report types,
 * :mod:`repro.engine.admission` — bounded in-flight admission control
   with pluggable shedding policies and typed
   :class:`~repro.engine.admission.QueryShed` outcomes,
 * :mod:`repro.engine.breaker` — per-tier circuit breakers and the
-  lossless pool → fork → serial degradation ladder (plus the
+  lossless pool → serial degradation ladder (plus the
   ``approx`` sketch-serving floor on ``approx=True`` engines),
 * :mod:`repro.engine.cache` — bounded-memory LRU caches and the
   engine-level :class:`~repro.engine.cache.CacheBudget`,
 * :mod:`repro.engine.bench` — the warm-vs-cold serving benchmark
-  behind ``prime-ls serve-bench`` (``--pool``/``--batch`` modes, plus
+  behind ``prime-ls serve-bench`` (``--workers``/``--batch`` modes, plus
   the admission/breaker overload knobs),
 * :mod:`repro.engine.server` — the multi-tenant asyncio HTTP front
   end (``/v1/query``, ``/v1/batch``, ``/v1/subscribe``, ``/v1/ingest``,
@@ -62,6 +60,7 @@ from repro.engine.faults import (
     FaultInjector,
     FaultSpec,
     InjectedFault,
+    Supervisor,
     SupervisorPolicy,
     SupervisorReport,
 )
@@ -81,8 +80,12 @@ from repro.engine.loadgen import (
     run_load_sync,
     run_server_bench,
 )
-from repro.engine.parallel import Supervisor, fork_available
-from repro.engine.pool import SEGMENT_PREFIX, WorkerPool, pool_segments
+from repro.engine.pool import (
+    SEGMENT_PREFIX,
+    WorkerPool,
+    fork_available,
+    pool_segments,
+)
 from repro.engine.server import (
     ApiError,
     BackgroundServer,

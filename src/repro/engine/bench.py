@@ -54,7 +54,6 @@ class ServeBenchResult:
     workers: int
     n_objects: int
     n_candidates: int
-    pool: bool = False
     batch: bool = False
     #: the warm engine served with the approximate (sketch) tier armed
     approx: bool = False
@@ -108,7 +107,8 @@ class ServeBenchResult:
                  self.warm_ms[i], ratio],
                 float_fmt="{:.2f}",
             )
-        mode = "pool" if self.pool else "fork"
+        pooled = self.workers > 1
+        mode = "pool" if pooled else "serial"
         if self.batch:
             mode += "+batch"
         lines = [
@@ -134,7 +134,7 @@ class ServeBenchResult:
                 f"{self.deadline_exceeded} deadline-exceeded"
             ),
         ]
-        if self.pool:
+        if pooled:
             lines.append(
                 f"pool: {self.spans_dispatched} spans dispatched, "
                 f"{self.pool_respawns} respawns"
@@ -181,7 +181,6 @@ def run_serve_bench(
     metrics_path=None,
     deadline_seconds: float | None = None,
     faults: Sequence[FaultSpec] = (),
-    pool: bool = False,
     batch: bool = False,
     distinct_candidates: bool | None = None,
     max_inflight: int | None = None,
@@ -200,11 +199,11 @@ def run_serve_bench(
     queries hit the table caches; the cold path rebuilds the fleet's
     per-object structures per query (see module docstring).
 
-    ``pool`` serves warm queries from the persistent shared-memory
-    worker pool instead of forking per query; ``batch`` admits all warm
-    queries through one :meth:`QueryEngine.query_batch` round (each
-    query's latency is then its share of the batch wall time).  Pool
-    and batch runs default to a *distinct* candidate set per query
+    ``workers > 1`` serves warm queries from the persistent
+    shared-memory worker pool; ``batch`` admits all warm queries
+    through one :meth:`QueryEngine.query_batch` round (each query's
+    latency is then its share of the batch wall time).  Pool and batch
+    runs default to a *distinct* candidate set per query
     (``distinct_candidates``): with one shared set every warm PIN-VO
     query is a pruning-cache hit that never dispatches a span, which
     would make dispatch-path comparisons meaningless.
@@ -243,7 +242,7 @@ def run_serve_bench(
     objects = world.dataset.objects
     rng = np.random.default_rng(seed)
     if distinct_candidates is None:
-        distinct_candidates = pool or batch
+        distinct_candidates = workers > 1 or batch
     if distinct_candidates:
         cand_sets = [
             world.dataset.sample_candidates(24, rng)[0]
@@ -260,7 +259,6 @@ def run_serve_bench(
         workers=workers,
         n_objects=len(objects),
         n_candidates=len(cand_sets[0]) if cand_sets else 0,
-        pool=pool,
         batch=batch,
         approx=approx,
         max_inflight=max_inflight,
@@ -282,7 +280,6 @@ def run_serve_bench(
     engine = QueryEngine(
         objects,
         workers=workers,
-        pool=pool,
         metrics_path=metrics_path,
         fault_injector=injector,
         max_inflight=max_inflight,

@@ -1,10 +1,11 @@
 """Circuit breakers and the execution-tier degradation ladder.
 
-PR 2/3 gave every query its own retry budget: a failing worker pool is
-retried (with backoff) at full cost on *every* query, forever.  This
-module adds the cross-query memory those retries lack.  Each execution
-tier — the persistent worker pool, fork-per-query sharding — is wrapped
-in a :class:`CircuitBreaker` with the classic three states:
+The worker pool gives every query its own retry budget: on its own, a
+failing pool would be retried (with backoff) at full cost on *every*
+query, forever.  This module adds the cross-query memory those retries
+lack.  Each breakable execution tier — the persistent worker pool, and
+serial on an engine with an approximate floor — is wrapped in a
+:class:`CircuitBreaker` with the classic three states:
 
 * **closed** — requests flow; consecutive failures are counted,
 * **open** — after :attr:`BreakerConfig.failure_threshold` consecutive
@@ -15,11 +16,11 @@ in a :class:`CircuitBreaker` with the classic three states:
   re-opens it.
 
 :class:`DegradationLadder` stacks the breakers into the engine's tier
-order ``pool → fork → serial → approx``: a query executes on the
-highest tier whose breaker admits it, so repeated pool failures
+order ``pool → serial → approx``: a query executes on the highest
+tier whose breaker admits it, so repeated pool failures
 deterministically walk the ladder down and self-heal back up, while
 every completed *exact* tier stays bit-identical to serial execution
-(the lower exact tiers compute the same answer — the ladder is
+(serial computes the same answer as the pool — the ladder is
 *lossless* down to serial).  By default serial is the floor and never
 breaks: the engine always answers, it just answers with less
 parallelism.  An engine built with an approximate floor
@@ -30,10 +31,10 @@ only tier that trades accuracy, and the only one that can never break
 (the engine always answers *something*, exact if any exact tier
 stands, labelled-approximate otherwise).
 
-Within a query, the supervisors in :mod:`repro.engine.parallel` and
-:mod:`repro.engine.pool` feed per-shard failures into the active
-tier's breaker and stop burning retries the moment it trips — the
-breaker replaces retry-only logic instead of merely sitting above it.
+Within a query, the worker pool (:mod:`repro.engine.pool`) feeds
+per-span failures into the pool breaker and stops burning retries the
+moment it trips — the breaker replaces retry-only logic instead of
+merely sitting above it.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ HALF_OPEN = "half-open"
 #: unbreakable floor of the exact tiers, "approx" the sketch-serving
 #: rung below it (only selectable on an engine with an approximate
 #: floor, and never circuit-broken itself)
-TIERS = ("pool", "fork", "serial", "approx")
+TIERS = ("pool", "serial", "approx")
 
 #: the tiers that compute exact answers
-EXACT_TIERS = ("pool", "fork", "serial")
+EXACT_TIERS = ("pool", "serial")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class CircuitBreaker:
 
     # -- events --------------------------------------------------------
     def record_failure(self) -> None:
-        """One failure event (a failing shard, or a failed query)."""
+        """One failure event (a failing span, or a failed query)."""
         self.failures += 1
         self.consecutive_failures += 1
         state = self.state
@@ -188,7 +189,7 @@ class CircuitBreaker:
 
 
 class DegradationLadder:
-    """The engine's tier stack: pool → fork → serial(→ approx).
+    """The engine's tier stack: pool → serial(→ approx).
 
     One breaker per breakable tier; :meth:`select` returns the highest
     *available* tier whose breaker admits the query.  Without an
@@ -219,7 +220,7 @@ class DegradationLadder:
         """The tier the next query should execute on.
 
         ``available`` is the ordered subset of :data:`TIERS` this query
-        could use (e.g. no "pool" entry on an engine without a pool);
+        could use (e.g. no "pool" entry when ``workers <= 1``);
         it must end with the ladder's floor tier.
         """
         for tier in available:

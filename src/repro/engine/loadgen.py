@@ -294,7 +294,6 @@ def build_serving_engine(
     scale: float = 0.05,
     seed: int = 7,
     workers: int = 0,
-    pool: bool = False,
     approx: bool = False,
     approx_k: int | None = None,
     faults=None,
@@ -326,7 +325,6 @@ def build_serving_engine(
     engine = QueryEngine(
         world.dataset.objects,
         workers=workers,
-        pool=pool,
         approx=approx,
         fault_injector=FaultInjector(list(faults)) if faults else None,
         metrics_path=metrics_path,
@@ -348,7 +346,6 @@ def run_server_bench(
     duration: float = 3.0,
     tenants: int = 2,
     workers: int = 0,
-    pool: bool = False,
     approx: bool = False,
     max_inflight: int = 2,
     max_queue_depth: int | None = None,
@@ -397,7 +394,6 @@ def run_server_bench(
         "duration": duration,
         "tenants": tenants,
         "workers": workers,
-        "pool": pool,
         "approx": approx,
         "max_inflight": max_inflight,
         "max_queue_depth": max_queue_depth,
@@ -435,7 +431,7 @@ def run_server_bench(
     from repro.engine.server import BackgroundServer
 
     engine, sample_candidates = build_serving_engine(
-        scale=scale, seed=seed, workers=workers, pool=pool, approx=approx
+        scale=scale, seed=seed, workers=workers, approx=approx
     )
     admission = TenantAdmission(
         default=TenantBudget(

@@ -1,10 +1,17 @@
-"""Persistent shared-memory worker pool for the serving engine.
+"""Persistent shared-memory worker pool: the engine's parallel tier.
 
-The fork-per-query path in :mod:`repro.engine.parallel` pays process
-startup and copy-on-write page faults on *every* dispatch (and again on
-every retry).  This module amortises that cost the way the engine's
-caches amortise table construction: ``QueryEngine`` lazily starts N
-long-lived workers, publishes the columnar export of each cached
+PRIME-LS counts every object–candidate pair independently, so the
+candidate axis can be split into contiguous column spans
+(:func:`column_spans`) that are resolved in parallel and concatenated
+back, bit-identical to serial execution.  PIN-VO's heap-driven
+validation phase is inherently sequential — Strategy 1 compares
+candidates against a global bound — so only its pruning phase is
+sharded and validation always runs in the parent.
+
+A ``QueryEngine`` with ``workers > 1`` lazily starts N long-lived
+workers on its first parallel query and keeps them until ``close()``,
+amortising process start-up the way the engine's caches amortise
+table construction.  It publishes the columnar export of each cached
 ``(PF, τ)`` object table (:meth:`ObjectTable.to_columnar`) — and, for
 NA, the raw fleet — in ``multiprocessing.shared_memory`` segments, and
 thereafter every query only ships span *bounds* and candidate slices
@@ -27,8 +34,7 @@ Dispatch protocol (all messages are plain picklable tuples):
   child the parent hangs under the query's span tree.
 * ``("stop",)`` — detach segments and exit.
 
-Supervision mirrors the PR-2 fork-path semantics, adapted to long-lived
-workers: a dead worker is detected via its process sentinel (not pipe
+Supervision: a dead worker is detected via its process sentinel (not pipe
 EOF — sibling forks inherit copies of the other pipes' fds, which would
 defeat EOF detection) alongside its result pipe, any buffered results
 are drained first, the worker is respawned (and lazily re-attached),
@@ -41,6 +47,11 @@ never fire in the parent, so the degraded pass is fault-free by
 construction.  A deadline overrun hard-kills the busy workers (then
 respawns them so the pool stays warm), joins everything — no orphans —
 and raises :class:`~repro.engine.faults.DeadlineExceeded`.
+
+One dispatch round runs at a time: :meth:`WorkerPool.run_batch` holds
+a lock for the whole round, so concurrent callers (the HTTP front
+end's executor threads) queue for the pool instead of reading each
+other's replies off the shared pipes.
 
 Results are bit-identical to serial: float64 round-trips through shared
 memory exactly, rebuilt tables reuse the exported MBRs/radii instead of
@@ -60,6 +71,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 import uuid
 import weakref
@@ -78,7 +90,7 @@ from repro.core.object_table import (
     fleet_from_columnar,
 )
 from repro.core.result import Instrumentation
-from repro.engine.faults import DeadlineExceeded, SupervisorPolicy
+from repro.engine.faults import DeadlineExceeded, Supervisor, SupervisorPolicy
 from repro.engine.trace import record_span
 
 #: every pool segment's name starts with this, so leak checks can scan
@@ -89,6 +101,26 @@ SEGMENT_PREFIX = "pinls_"
 #: pipe, so a worker never idles between spans but a death never loses
 #: more than two dispatches
 MAX_INFLIGHT = 2
+
+
+#: the multiprocessing start method pool workers are created with
+START_METHOD = "fork"
+
+
+def fork_available() -> bool:
+    """Whether the start method the pool needs exists on this platform."""
+    return START_METHOD in multiprocessing.get_all_start_methods()
+
+
+def column_spans(m: int, shards: int) -> list[tuple[int, int]]:
+    """Split ``m`` candidate columns into ≤ ``shards`` contiguous spans."""
+    shards = max(1, min(shards, m))
+    bounds = np.linspace(0, m, shards + 1).astype(int)
+    return [
+        (int(bounds[i]), int(bounds[i + 1]))
+        for i in range(shards)
+        if bounds[i] < bounds[i + 1]
+    ]
 
 
 def pool_segments() -> list[str]:
@@ -186,7 +218,7 @@ class SpanTask:
 
 
 def _execute_span(kind: str, solver, data, cand_slice, pf, tau):
-    """Run one span the exact way the fork-path shard functions do.
+    """Run one span with the serial solver's own kernels.
 
     Returns ``(payload, counters, span_record)`` — the record is the
     worker-measured trace child shipped back with the result so the
@@ -368,11 +400,11 @@ class WorkerPool:
     def __init__(self, size: int, policy: SupervisorPolicy | None = None):
         if size < 2:
             raise ValueError(f"a worker pool needs size >= 2, got {size}")
-        if not _fork_available():
+        if not fork_available():
             raise RuntimeError("WorkerPool requires the fork start method")
         self.size = int(size)
         self.policy = policy or SupervisorPolicy()
-        self._mp = multiprocessing.get_context("fork")
+        self._mp = multiprocessing.get_context(START_METHOD)
         # Start the resource tracker *before* forking workers so every
         # worker inherits it: segment registrations then all land in
         # one tracker (idempotent per name) and the parent's unlink
@@ -385,6 +417,10 @@ class WorkerPool:
         self._segments: dict[tuple, tuple] = {}
         self._workers: list[_PoolWorker] = []
         self._closed = False
+        #: held for a whole dispatch round (and while publishing or
+        #: tearing down segments): the pipes and ``inflight`` maps
+        #: serve one round at a time
+        self._lock = threading.Lock()
         #: workers killed and replaced over the pool's lifetime
         self.respawns = 0
         self._state = {"pid": os.getpid(), "procs": [], "shms": []}
@@ -414,16 +450,24 @@ class WorkerPool:
         tau: float = 0.0,
     ) -> None:
         """Publish ``builder()`` under ``key`` if not already published."""
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if key in self._segments:
-            return
-        shm, meta = _pack_segment(builder())
-        self._segments[key] = (shm, meta, pf, tau)
-        self._state["shms"].append(shm)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            if key in self._segments:
+                return
+            shm, meta = _pack_segment(builder())
+            self._segments[key] = (shm, meta, pf, tau)
+            self._state["shms"].append(shm)
 
     def close(self) -> None:
-        """Stop workers, join them, unlink every segment.  Idempotent."""
+        """Stop workers, join them, unlink every segment.  Idempotent.
+
+        Waits for a dispatch round in flight to finish first.
+        """
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
         if self._closed:
             return
         self._closed = True
@@ -469,15 +513,21 @@ class WorkerPool:
         return sum(len(w.inflight) for w in self._workers)
 
     # -- dispatch ------------------------------------------------------
-    def run_batch(self, tasks: list[SpanTask], supervisor) -> dict:
+    def run_batch(self, tasks: list[SpanTask], supervisor: Supervisor) -> dict:
         """Dispatch ``tasks``, supervise, return ``{task_id: result}``.
 
         ``supervisor`` is the per-query/batch
-        :class:`~repro.engine.parallel.Supervisor`; its report is
+        :class:`~repro.engine.faults.Supervisor`; its report is
         updated in place (failures, retries, respawns, spans) and its
         deadline is enforced — on overrun every busy worker is killed,
         respawned, and joined before ``DeadlineExceeded`` propagates.
+        Rounds from concurrent callers run one after another; time
+        spent waiting for the pool counts against the deadline.
         """
+        with self._lock:
+            return self._run_round(tasks, supervisor)
+
+    def _run_round(self, tasks: list[SpanTask], supervisor: Supervisor) -> dict:
         if self._closed:
             raise RuntimeError("pool is closed")
         for task in tasks:
@@ -523,14 +573,20 @@ class WorkerPool:
     def _dispatch(
         self, task: SpanTask, worker: _PoolWorker, supervisor
     ) -> None:
-        key = task.segment_key
-        if key not in worker.attached:
-            shm, meta, pf, tau = self._segments[key]
-            worker.conn.send(("attach", key, shm.name, meta, pf, tau))
-            worker.attached.add(key)
-        worker.conn.send(task.message(supervisor.injector))
         worker.inflight[task.task_id] = task
         supervisor.report.spans_dispatched += 1
+        key = task.segment_key
+        try:
+            if key not in worker.attached:
+                shm, meta, pf, tau = self._segments[key]
+                worker.conn.send(("attach", key, shm.name, meta, pf, tau))
+                worker.attached.add(key)
+            worker.conn.send(task.message(supervisor.injector))
+        except (BrokenPipeError, ConnectionResetError):
+            # The worker died after the last wait.  The span stays in
+            # flight: the next wait sees the worker's sentinel, and
+            # _handle_death respawns it and re-dispatches the span.
+            pass
 
     def _wait_round(
         self, supervisor, results: dict, pending: deque, degraded: list
@@ -710,6 +766,3 @@ class WorkerPool:
                 "and respawned"
             )
 
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()

@@ -18,9 +18,10 @@ on every call; the engine ingests Ω once and amortises that work:
   (``pairs_pruned_*``) are replayed into the query's instrumentation
   so pruned fractions stay meaningful, while the ``*_seconds`` fields
   keep reporting the time actually spent,
-* **process parallelism** — ``workers=N`` shards the candidate axis
-  across forked worker processes (see :mod:`repro.engine.parallel`),
-  bit-identical to serial execution,
+* **process parallelism** — ``workers=N`` (N > 1) shards the candidate
+  axis across a persistent pool of N worker processes (see
+  :mod:`repro.engine.pool`), bit-identical to serial execution; the
+  engine holds those processes until :meth:`QueryEngine.close`,
 * **observability** — hit/miss counters (:class:`EngineStats`), a
   per-query JSONL metrics log with per-phase
   ``pruning_seconds``/``validation_seconds``, and a :meth:`health`
@@ -31,7 +32,7 @@ on every call; the engine ingests Ω once and amortises that work:
   :class:`~repro.engine.admission.QueryShed` outcomes instead of
   letting latency grow without bound; a circuit-broken degradation
   ladder (:mod:`repro.engine.breaker`) walks repeated tier failures
-  down pool → fork → serial and self-heals; every cache is a bounded
+  down pool → serial and self-heals; every cache is a bounded
   LRU (:mod:`repro.engine.cache`) with eviction counters, and the
   in-memory metrics record list is capped (``records_dropped``).
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -75,20 +77,16 @@ from repro.engine.cache import CacheBudget, LRUCache
 from repro.engine.faults import (
     DeadlineExceeded,
     FaultInjector,
+    Supervisor,
     SupervisorPolicy,
 )
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.parallel import (
-    ShardContext,
-    Supervisor,
-    _naive_shard,
-    _pin_shard,
-    _vo_pruning_shard,
+from repro.engine.pool import (
+    SpanTask,
+    WorkerPool,
     column_spans,
     fork_available,
-    run_sharded,
 )
-from repro.engine.pool import SpanTask, WorkerPool
 from repro.engine.trace import NOOP_SPAN, Tracer
 from repro.index.rtree import RTree
 from repro.model.candidate import Candidate
@@ -116,16 +114,16 @@ class EngineStats:
     sketch_misses: int = 0
     #: queries answered from the approximate tier (labelled, bounded)
     approx_queries: int = 0
-    #: worker shard dispatches that died or raised, across all queries
+    #: worker span dispatches that died or raised, across all queries
     worker_failures: int = 0
-    #: shard re-dispatches performed after worker failures
+    #: span re-dispatches performed after worker failures
     retries: int = 0
     #: queries that fell back to in-parent serial execution
     degraded: int = 0
     #: queries cut off by their ``deadline_seconds``
     deadline_exceeded: int = 0
     #: span tasks handed to the persistent worker pool, including
-    #: re-dispatches after failures (fork-per-query dispatches excluded)
+    #: re-dispatches after failures
     spans_dispatched: int = 0
     #: pool workers killed and replaced (crashes and deadline kills)
     pool_respawns: int = 0
@@ -277,7 +275,7 @@ class QueryEngine:
         objects: Sequence[MovingObject],
         *,
         workers: int = 0,
-        pool: bool = False,
+        pool: bool = True,
         metrics_path: str | Path | None = None,
         default_pf: ProbabilityFunction | None = None,
         fault_injector: FaultInjector | None = None,
@@ -296,6 +294,13 @@ class QueryEngine:
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if not pool and workers > 1:
+            # ``workers > 1`` always means the worker pool; the keyword
+            # is kept for callers that pass ``pool=True`` explicitly
+            raise ValueError(
+                "workers > 1 always runs on the worker pool; pool=False "
+                "needs workers <= 1"
+            )
         if approx_k < 1:
             raise ValueError(f"approx_k must be >= 1, got {approx_k}")
         if not 0.0 < approx_delta < 1.0:
@@ -312,16 +317,16 @@ class QueryEngine:
         if not self.objects:
             raise ValueError("need at least one moving object")
         # Ingest: force every object's lazy MBR memo now so no query
-        # (and no forked worker) pays for it later.  Position arrays
+        # pays for it later.  Position arrays
         # are already materialised, read-only, on the objects.
         for obj in self.objects:
             _ = obj.mbr
         self.ingest_seconds = time.perf_counter() - started
         self.workers = int(workers)
-        #: serve sharded spans from the persistent shared-memory worker
-        #: pool (:mod:`repro.engine.pool`) instead of forking per query
-        self.use_pool = bool(pool)
+        #: the persistent worker pool, started by the first parallel
+        #: query (:mod:`repro.engine.pool`)
         self._pool: WorkerPool | None = None
+        self._pool_lock = threading.Lock()
         #: fault hooks handed to every worker dispatch (testing/chaos
         #: drills only — leave ``None`` in production)
         self.fault_injector = fault_injector
@@ -374,7 +379,7 @@ class QueryEngine:
             )
             if max_inflight is not None else None
         )
-        #: the circuit-broken pool → fork → serial(→ approx)
+        #: the circuit-broken pool → serial(→ approx)
         #: degradation ladder; with ``approx=True`` serial gets a
         #: breaker too and the sketch tier becomes the floor
         self.ladder = DegradationLadder(
@@ -714,12 +719,13 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _pool_for(self, workers: int) -> WorkerPool:
         """The session's persistent pool, started on first pooled query."""
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(
-                max(2, self.workers, workers),
-                policy=self.supervisor_policy,
-            )
-        return self._pool
+        with self._pool_lock:
+            if self._pool is None or self._pool.closed:
+                self._pool = WorkerPool(
+                    max(2, self.workers, workers),
+                    policy=self.supervisor_policy,
+                )
+            return self._pool
 
     def close(self) -> None:
         """Shut down the session: workers stopped and joined, every
@@ -731,10 +737,11 @@ class QueryEngine:
         garbage collection / interpreter exit, so segments never
         outlive the process even without an explicit ``close``.
         """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self._closed = True
+        with self._pool_lock:
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
+            self._closed = True
 
     @property
     def closed(self) -> bool:
@@ -757,7 +764,7 @@ class QueryEngine:
     @staticmethod
     def _poolable(pf: ProbabilityFunction) -> bool:
         """Whether ``pf`` can travel to pool workers (span messages are
-        pickled, unlike the fork path's copy-on-write inheritance)."""
+        pickled); a query whose PF cannot runs on the serial tier."""
         try:
             pickle.dumps(pf)
         except Exception:
@@ -843,19 +850,19 @@ class QueryEngine:
         ``select_location(objects, candidates, pf, tau, algorithm)``,
         but per-object and per-candidate work is served from the
         session caches.  ``workers`` overrides the engine default for
-        this query; sharded execution applies to NA (vector kernel),
-        PIN, and PIN-VO's pruning phase, and falls back to serial for
-        everything else.
+        this query; with ``workers > 1`` the worker pool shards NA
+        (vector kernel), PIN, and PIN-VO's pruning phase, and
+        everything else — including a PF that cannot be pickled to the
+        workers — runs serially.
 
-        Sharded execution is supervised: a worker shard that crashes or
+        Pool execution is supervised: a worker span that crashes or
         raises is retried with bounded backoff (per the engine's
         :class:`~repro.engine.faults.SupervisorPolicy`) and, once
         retries are exhausted, re-run serially in the parent, so the
         query always returns the bit-identical answer.  Across queries,
-        each tier's circuit breaker remembers those failures: a tripped
-        pool breaker routes the next queries to fork-per-query sharding
-        (and a tripped fork breaker to serial) until the tier's
-        recovery window admits a probe.  What happened is recorded in
+        the pool's circuit breaker remembers those failures: once
+        tripped it routes the next queries to serial until its recovery
+        window admits a probe.  What happened is recorded in
         the result's :class:`~repro.core.result.Instrumentation`
         (``worker_failures``/``retries``/``degraded``), the engine's
         :class:`EngineStats`, and the JSONL metrics.
@@ -1001,7 +1008,6 @@ class QueryEngine:
         workers = self.workers if workers is None else int(workers)
 
         supervisor = Supervisor(
-            self.supervisor_policy,
             injector=self.fault_injector,
             query_id=self.stats.queries,
             deadline_seconds=deadline_seconds,
@@ -1066,9 +1072,7 @@ class QueryEngine:
         workers = self.workers if workers is None else int(workers)
         tiers: list[str] = []
         if workers > 1 and fork_available():
-            if self.use_pool:
-                tiers.append("pool")
-            tiers.append("fork")
+            tiers.append("pool")
         tiers.append("serial")
         if self.approx:
             tiers.append("approx")
@@ -1165,14 +1169,14 @@ class QueryEngine:
 
         Returns ``(result, workers_used, tier, approx_reason)``.  The
         execution tier is chosen by the degradation ladder: the fastest
-        tier this query *could* use ("pool" needs ``pool=True`` and a
-        picklable PF, "fork" needs ``workers > 1`` and fork support)
-        whose circuit breaker currently admits queries.  The supervisor
-        is wired to that tier's breaker so in-query shard failures feed
-        it and retries stop the moment it trips.  On an approx-enabled
-        engine the ladder bottoms out at the sketch tier instead of
-        serial when every exact breaker is open; a non-``None``
-        ``approx_reason`` short-circuits straight to it.
+        tier this query *could* use ("pool" needs ``workers > 1``, fork
+        support and a picklable PF) whose circuit breaker currently
+        admits queries.  The supervisor is wired to that tier's breaker
+        so in-query span failures feed it and retries stop the moment
+        it trips.  On an approx-enabled engine the ladder bottoms out
+        at the sketch tier instead of serial when every exact breaker
+        is open; a non-``None`` ``approx_reason`` short-circuits
+        straight to it.
         """
         # Deferred to dodge the repro <-> repro.engine import cycle:
         # the package re-exports QueryEngine from its __init__.
@@ -1194,16 +1198,13 @@ class QueryEngine:
         uses_table = isinstance(solver, (Pinocchio, PinocchioVO))
         table = self.table_for(pf, tau) if uses_table else None
         available: list[str] = []
-        if workers > 1 and fork_available():
-            if self.use_pool and self._poolable(pf):
-                available.append("pool")
-            available.append("fork")
+        if workers > 1 and fork_available() and self._poolable(pf):
+            available.append("pool")
         available.append("serial")
         if self.approx and algorithm in self.APPROX_ALGORITHMS:
             available.append("approx")
         tier = self.ladder.select(tuple(available))
         supervisor.breaker = self.ladder.breakers.get(tier)
-        parallel = tier in ("pool", "fork")
         pooled = tier == "pool"
         plan_span.finish(tier=tier)
         trace.set(tier=tier)
@@ -1217,14 +1218,13 @@ class QueryEngine:
         if isinstance(solver, PinocchioVO):
             result = self._query_vo(
                 solver, table, candidates, cand_xy, pf, tau,
-                workers if parallel else 1, supervisor,
-                pooled=pooled, algorithm=algorithm,
+                workers, supervisor, pooled=pooled, algorithm=algorithm,
                 algorithm_kwargs=algorithm_kwargs, trace=trace,
             )
-            return result, workers if parallel else 1, tier, None
+            return result, workers if pooled else 1, tier, None
 
         kind = None
-        if parallel:
+        if pooled:
             if isinstance(solver, Pinocchio):
                 kind = "pin"
             elif (
@@ -1232,20 +1232,13 @@ class QueryEngine:
                 and solver.kernel == "vector"
             ):
                 kind = "na"
-        if kind is not None and pooled:
+        if kind is not None:
             result = self._run_pooled(
                 solver, kind, table, candidates, cand_xy, pf, tau,
                 workers, supervisor, algorithm, algorithm_kwargs,
                 trace=trace,
             )
             return result, workers, "pool", None
-        if kind is not None:
-            task = _pin_shard if kind == "pin" else _naive_shard
-            result = self._run_parallel(
-                solver, task, table, candidates, cand_xy, pf, tau,
-                workers, supervisor, trace=trace,
-            )
-            return result, workers, "fork", None
         supervisor.check_deadline()
         if table is not None:
             solver.table_factory = lambda _objects, _pf, _tau: table
@@ -1274,7 +1267,7 @@ class QueryEngine:
         the candidate coordinates, so a hit replays the memoised
         ``minInf``/``VS`` (and their logical work counters) and goes
         straight to Strategy-1/2 validation.  On a miss the pruning
-        phase runs — sharded across workers when requested — and its
+        phase runs — sharded across the pool when ``pooled`` — and its
         output is stored pristine (validation mutates ``minInf``, so
         both store and hit hand out copies).  The deadline is checked
         again between the phases: validation is sequential and cannot
@@ -1292,26 +1285,12 @@ class QueryEngine:
         if cached is None:
             self.stats.pruning_misses += 1
             prune_counters = Instrumentation()
-            if workers > 1 and pooled:
+            if pooled:
                 min_inf, vs_indexes = self._pooled_vo_pruning(
                     table, cand_xy, pf, tau, workers, supervisor,
                     algorithm, algorithm_kwargs or {}, prune_counters,
                     prune_span=prune_span,
                 )
-            elif workers > 1:
-                ctx = ShardContext(
-                    solver=solver, objects=self.objects, table=table,
-                    cand_xy=cand_xy, pf=pf, tau=tau,
-                )
-                min_inf = np.zeros(m, dtype=int)
-                vs_indexes: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-                for lo, hi, (mi, vs), shard_counters, record in run_sharded(
-                    _vo_pruning_shard, ctx, workers, supervisor
-                ):
-                    min_inf[lo:hi] = mi
-                    vs_indexes[lo:hi] = vs
-                    prune_counters.merge(shard_counters)
-                    prune_span.attach(record)
             else:
                 supervisor.check_deadline()
                 with prune_counters.phase("pruning"):
@@ -1383,45 +1362,6 @@ class QueryEngine:
         result.quality = "exact" if sketch.exact else "approx"
         result.error_bound = float(bound)
         return result
-
-    def _run_parallel(
-        self,
-        solver,
-        task,
-        table: ObjectTable | None,
-        candidates: list[Candidate],
-        cand_xy: np.ndarray,
-        pf: ProbabilityFunction,
-        tau: float,
-        workers: int,
-        supervisor: Supervisor,
-        trace=NOOP_SPAN,
-    ) -> LSResult:
-        """Sharded full-table execution (NA/PIN); merges spans + counters."""
-        m = cand_xy.shape[0]
-        counters = Instrumentation()
-        if table is not None:
-            counters.dead_objects = table.dead_objects
-            counters.pairs_total = table.live_count * m
-        else:
-            counters.pairs_total = len(self.objects) * m
-        ctx = ShardContext(
-            solver=solver,
-            objects=self.objects,
-            table=table,
-            cand_xy=cand_xy,
-            pf=pf,
-            tau=tau,
-        )
-        with trace.child("dispatch", mode="fork") as dispatch_span:
-            shards = run_sharded(task, ctx, workers, supervisor)
-        influence = np.zeros(m, dtype=int)
-        with trace.child("merge"):
-            for lo, hi, shard_influence, shard_counters, record in shards:
-                influence[lo:hi] = shard_influence
-                counters.merge(shard_counters)
-                dispatch_span.attach(record)
-        return full_table_result(solver.name, candidates, influence, counters)
 
     def _run_pooled(
         self,
@@ -1532,12 +1472,11 @@ class QueryEngine:
         an :class:`~repro.core.result.LSResult`, and a JSONL record is
         written for it — nothing is dropped silently.
 
-        On a pool-enabled engine (``pool=True``) with ``workers > 1``
-        every shardable span of every admitted request is dispatched to
-        the persistent pool in a *single* round, so workers stream
-        spans back-to-back instead of idling between queries; the
-        sequential PIN-VO validations then run in the parent in request
-        order.  A tripped pool breaker routes the round to the
+        With ``workers > 1`` every shardable span of every admitted
+        request is dispatched to the persistent pool in a *single*
+        round, so workers stream spans back-to-back instead of idling
+        between queries; the sequential PIN-VO validations then run in
+        the parent in request order.  A tripped pool breaker routes the round to the
         sequential tier-selected path instead.  Otherwise the batch
         degenerates to a sequential loop of per-query execution
         (batching only buys throughput when there is a pool to keep
@@ -1606,8 +1545,7 @@ class QueryEngine:
             if admitted:
                 pool_breaker = self.ladder.breakers["pool"]
                 pooled = (
-                    self.use_pool and workers > 1 and fork_available()
-                    and pool_breaker.allow()
+                    workers > 1 and fork_available() and pool_breaker.allow()
                 )
                 if pooled:
                     results = self._query_batch_pooled(
@@ -1645,7 +1583,6 @@ class QueryEngine:
         started = time.perf_counter()
         base_id = self.stats.queries
         supervisor = Supervisor(
-            self.supervisor_policy,
             injector=self.fault_injector,
             query_id=base_id,
             deadline_seconds=deadline_seconds,

@@ -13,10 +13,10 @@ missing dimension: every query served with tracing enabled produces a
     ├── admission        waiting for / claiming an admission slot
     ├── plan             solver construction + cache resolution
     ├── prune            PIN-VO pruning phase (cache hit or computed)
-    │   ├── shard:vo_prune   per-shard child, measured in the worker
-    │   └── shard:vo_prune   and shipped back over the result pipe
-    ├── dispatch         sharded/pooled full-table execution
-    │   └── span:pin         per-span child from the pool queue
+    │   ├── span:vo_prune    per-span child, measured in the pool
+    │   └── span:vo_prune    worker and shipped back with the result
+    ├── dispatch         serial or pooled full-table execution
+    │   └── span:pin         per-span child from the pool
     ├── validate         PIN-VO Strategy-1/2 validation (sequential)
     └── merge            assembling span outputs into the result
 
@@ -32,8 +32,7 @@ Design constraints, in order:
   flag, it just calls span methods,
 * **cross-process children** — worker processes measure their own
   spans and ship a tiny picklable :class:`SpanRecord` back with the
-  result payload (over the existing fork result pipes and pool
-  queues); span start times use the shared wall clock
+  result payload (over the pool's reply pipes); span start times use the shared wall clock
   (``time.time()``) so children land on the parent's timeline,
 * **results stay bit-identical** — tracing only ever *observes*;
   nothing about query execution reads trace state.
@@ -60,7 +59,7 @@ from pathlib import Path
 TRACE_SCHEMA_VERSION = 1
 
 #: the parent-side phase names of the span taxonomy, in canonical order
-#: (child spans shipped from workers are named ``shard:*``/``span:*``);
+#: (child spans shipped from pool workers are named ``span:*``);
 #: ``sketch``/``estimate`` appear only on approximate-tier queries
 PHASES = (
     "admission", "plan", "prune", "sketch", "estimate",
@@ -72,10 +71,10 @@ PHASES = (
 class SpanRecord:
     """A finished span measured in another process.
 
-    Small, plain, and picklable — it rides the existing result pipes
-    (fork path) and pool reply queues next to the payload and the
-    :class:`~repro.core.result.Instrumentation` counters, costing one
-    tuple per shard whether or not the parent keeps it.  ``start`` is
+    Small, plain, and picklable — it rides the pool's reply pipes next
+    to the payload and the :class:`~repro.core.result.Instrumentation`
+    counters, costing one tuple per span whether or not the parent
+    keeps it.  ``start`` is
     wall-clock (``time.time()``) so the parent can place the child on
     its own timeline without a cross-process monotonic-clock contract.
     """
@@ -329,8 +328,8 @@ def read_trace_file(path: str | Path) -> list[dict]:
 def phase_seconds(trace: dict) -> dict[str, float]:
     """Per-phase seconds of one span tree, keyed by top-level child name.
 
-    Only the root's direct children count — worker-side ``shard:*`` /
-    ``span:*`` children measure aggregate work inside a phase, which
+    Only the root's direct children count — worker-side ``span:*``
+    children measure aggregate work inside a phase, which
     would double-count its wall time.
     """
     phases: dict[str, float] = {}
@@ -349,7 +348,7 @@ def worker_spans(trace: dict) -> list[dict]:
     while stack:
         node = stack.pop()
         name = node.get("name", "")
-        if name.startswith(("shard:", "span:")):
+        if name.startswith("span:"):
             found.append(node)
         stack.extend(node.get("children", ()))
     return sorted(found, key=lambda s: s.get("start", 0.0))

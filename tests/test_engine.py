@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro import QueryEngine, select_location
 from repro.core.result import Instrumentation
-from repro.engine.parallel import column_spans, fork_available
+from repro.engine import fork_available
+from repro.engine.pool import column_spans
 from repro.model import Candidate, MovingObject
 from repro.prob import PowerLawPF
 
@@ -182,39 +183,50 @@ def test_property_engine_matches_fresh(
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestWorkers:
-    """workers > 1 never changes any part of the result."""
+    """workers > 1 (the worker pool) never changes any part of the result."""
 
     @pytest.mark.parametrize("algorithm", ["NA", "PIN", "PIN-VO", "PIN-VO*"])
     def test_sharded_equals_serial(self, world, candidates, pf, algorithm):
         serial = QueryEngine(world, workers=1)
-        sharded = QueryEngine(world, workers=4)
-        a = serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
-        b = sharded.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
-        assert_same_result(b, a, counters=True)
-        # And again through the warmed caches on both sides.
-        assert_same_result(
-            sharded.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
-            serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
-            counters=True,
-        )
+        with QueryEngine(world, workers=4) as sharded:
+            a = serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
+            b = sharded.query(
+                candidates, pf=pf, tau=0.7, algorithm=algorithm
+            )
+            assert_same_result(b, a, counters=True)
+            assert sharded.metrics_log[-1]["tier"] == "pool"
+            # And again through the warmed caches on both sides.
+            assert_same_result(
+                sharded.query(
+                    candidates, pf=pf, tau=0.7, algorithm=algorithm
+                ),
+                serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
+                counters=True,
+            )
 
     def test_worker_override_per_query(self, world, candidates, pf):
-        engine = QueryEngine(world, workers=4)
-        a = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        b = engine.query(
-            candidates, pf=pf, tau=0.7, algorithm="PIN", workers=0
-        )
+        with QueryEngine(world, workers=4) as engine:
+            a = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            b = engine.query(
+                candidates, pf=pf, tau=0.7, algorithm="PIN", workers=0
+            )
+            assert engine.metrics_log[-1]["tier"] == "serial"
         assert_same_result(b, a, counters=True)
 
     def test_scalar_naive_falls_back_to_serial(self, world, candidates, pf):
-        engine = QueryEngine(world, workers=4)
-        got = engine.query(
-            candidates, pf=pf, tau=0.7, algorithm="NA", kernel="scalar"
-        )
+        with QueryEngine(world, workers=4) as engine:
+            got = engine.query(
+                candidates, pf=pf, tau=0.7, algorithm="NA", kernel="scalar"
+            )
+            assert engine.metrics_log[-1]["tier"] == "serial"
         want = select_location(
             world, candidates, pf=pf, tau=0.7, algorithm="NA", kernel="scalar"
         )
         assert_same_result(got, want, counters=True)
+
+    def test_pool_false_with_workers_is_rejected(self, world):
+        with pytest.raises(ValueError, match="worker pool"):
+            QueryEngine(world, workers=2, pool=False)
 
     def test_column_spans_partition_the_axis(self):
         for m in (1, 2, 7, 24, 100):

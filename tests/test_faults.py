@@ -1,7 +1,7 @@
 """Fault-injection suite for the supervised serving engine.
 
 The claims under test, matching ``docs/architecture.md``'s failure
-semantics:
+semantics, on a ``workers=2`` engine (the worker pool):
 
 * any single injected worker fault — crash, exception, or delay —
   leaves ``QueryEngine.query()``'s answer bit-identical to fault-free
@@ -11,8 +11,9 @@ semantics:
   ``degraded`` land in the result's ``Instrumentation``, the engine's
   ``EngineStats``, and the per-query JSONL metrics,
 * ``deadline_seconds`` is honoured within a small tolerance, raising
-  ``DeadlineExceeded`` with every worker killed and joined,
-* no orphan worker processes survive any of the above.
+  ``DeadlineExceeded`` with every busy worker killed and joined,
+* no orphan worker processes survive any of the above once the engine
+  is closed.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.engine import (
     FaultInjector,
     FaultSpec,
     SupervisorPolicy,
+    fork_available,
 )
-from repro.engine.parallel import fork_available
 from repro.prob import PowerLawPF
 
 from .helpers import make_candidates, make_objects
@@ -52,7 +53,7 @@ def fast_policy(**overrides) -> SupervisorPolicy:
 
 
 def make_engine(objects, faults, **kwargs):
-    kwargs.setdefault("workers", 4)
+    kwargs.setdefault("workers", 2)
     kwargs.setdefault("supervisor_policy", fast_policy())
     return QueryEngine(
         objects, fault_injector=FaultInjector(faults), **kwargs
@@ -60,7 +61,7 @@ def make_engine(objects, faults, **kwargs):
 
 
 def assert_no_orphans():
-    """Every worker the engine forked must be joined (or reaped) by now."""
+    """Every worker process must be joined (or reaped) by now."""
     deadline = time.monotonic() + 2.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -75,7 +76,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def candidates():
-    # 16 candidates across 4 workers -> 4 shards of 4 columns each.
+    # 16 candidates across 2 workers -> 2 spans of 8 columns each.
     return make_candidates(np.random.default_rng(43), 16)
 
 
@@ -127,20 +128,25 @@ class TestFaultSpec:
 
 
 class TestCrashRecovery:
-    """A killed worker shard is retried; the answer never changes."""
+    """A killed worker is respawned and its span retried; the answer
+    never changes."""
 
     @pytest.mark.parametrize("algorithm", ["NA", "PIN", "PIN-VO"])
     def test_single_crash_retried_bit_identical(
         self, world, candidates, pf, serial_answers, algorithm
     ):
-        engine = make_engine(
+        with make_engine(
             world, [FaultSpec(kind="crash", worker=1, times=1)]
-        )
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
+        ) as engine:
+            got = engine.query(
+                candidates, pf=pf, tau=0.7, algorithm=algorithm
+            )
+            stats = engine.stats
         assert_same_result(got, serial_answers[algorithm], counters=True)
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.retries == 1
-        assert engine.stats.degraded == 0
+        assert stats.worker_failures == 1
+        assert stats.retries == 1
+        assert stats.degraded == 0
+        assert stats.pool_respawns == 1
         assert got.instrumentation.worker_failures == 1
         assert got.instrumentation.retries == 1
         assert got.instrumentation.degraded == 0
@@ -149,55 +155,64 @@ class TestCrashRecovery:
     def test_persistent_crash_degrades_to_serial(
         self, world, candidates, pf, serial_answers
     ):
-        # times exceeds the retry budget: attempts 0..2 all die, then
-        # the missing shard runs serially in the parent.
-        engine = make_engine(
+        # times exceeds the retry budget: attempts 0..2 all die (a
+        # retry goes to the least-loaded worker, lowest slot first, so
+        # it lands on the respawned slot 0 again), then the missing
+        # span runs serially in the parent.
+        with make_engine(
             world, [FaultSpec(kind="crash", worker=0, times=99)]
-        )
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+        ) as engine:
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            stats = engine.stats
         assert_same_result(got, serial_answers["PIN"], counters=True)
-        assert engine.stats.worker_failures == 3  # initial + 2 retries
-        assert engine.stats.retries == 2
-        assert engine.stats.degraded == 1
+        assert stats.worker_failures == 3  # initial + 2 retries
+        assert stats.retries == 2
+        assert stats.degraded == 1
         assert got.instrumentation.degraded == 1
         assert_no_orphans()
 
     def test_fault_keyed_to_query_id_spares_other_queries(
         self, world, candidates, pf
     ):
-        engine = make_engine(
+        with make_engine(
             world, [FaultSpec(kind="crash", worker=0, query=1, times=1)]
-        )
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert engine.stats.worker_failures == 0
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert engine.stats.worker_failures == 1
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert engine.stats.worker_failures == 1
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert engine.stats.worker_failures == 0
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert engine.stats.worker_failures == 1
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert engine.stats.worker_failures == 1
+        assert_no_orphans()
 
 
 class TestInjectedException:
-    """A poisoned shard (raises instead of dying) takes the same path."""
+    """A poisoned span (raises instead of dying) takes the same path."""
 
     @pytest.mark.parametrize("algorithm", ["NA", "PIN", "PIN-VO"])
     def test_exception_retried_bit_identical(
         self, world, candidates, pf, serial_answers, algorithm
     ):
-        engine = make_engine(
-            world, [FaultSpec(kind="exception", worker=2, times=1)]
-        )
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
+        with make_engine(
+            world, [FaultSpec(kind="exception", worker=1, times=1)]
+        ) as engine:
+            got = engine.query(
+                candidates, pf=pf, tau=0.7, algorithm=algorithm
+            )
+            stats = engine.stats
         assert_same_result(got, serial_answers[algorithm], counters=True)
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.retries == 1
+        assert stats.worker_failures == 1
+        assert stats.retries == 1
+        # the worker survived its exception: nothing was respawned
+        assert stats.pool_respawns == 0
         assert_no_orphans()
 
     def test_exception_reaches_supervisor_events(self, world, candidates, pf):
-        engine = make_engine(
+        with make_engine(
             world, [FaultSpec(kind="exception", worker=0, times=1)]
-        )
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        record = engine.metrics_log[-1]
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            record = engine.metrics_log[-1]
         assert record["worker_failures"] == 1
         assert record["retries"] == 1
         assert record["degraded"] is False
@@ -208,36 +223,39 @@ class TestDelayAndDeadline:
     def test_small_delay_without_deadline_is_harmless(
         self, world, candidates, pf, serial_answers
     ):
-        engine = make_engine(
+        with make_engine(
             world,
             [FaultSpec(kind="delay", worker=0, delay_seconds=0.05, times=1)],
-        )
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+        ) as engine:
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            stats = engine.stats
         assert_same_result(got, serial_answers["PIN"], counters=True)
-        assert engine.stats.worker_failures == 0
-        assert engine.stats.deadline_exceeded == 0
+        assert stats.worker_failures == 0
+        assert stats.deadline_exceeded == 0
 
     def test_delay_past_deadline_raises_within_tolerance(
         self, world, candidates, pf, tmp_path
     ):
         path = tmp_path / "metrics.jsonl"
-        engine = make_engine(
+        with make_engine(
             world,
             [FaultSpec(kind="delay", worker=0, delay_seconds=30.0, times=99)],
             metrics_path=path,
-        )
-        started = time.perf_counter()
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            engine.query(
-                candidates, pf=pf, tau=0.7, algorithm="PIN",
-                deadline_seconds=0.5,
-            )
-        elapsed = time.perf_counter() - started
-        # Clean timeout: raised once the budget expired, nowhere near
-        # the 30s stall, and the stalled worker was killed.
-        assert 0.45 <= elapsed < 5.0
-        assert excinfo.value.deadline_seconds == 0.5
-        assert engine.stats.deadline_exceeded == 1
+        ) as engine:
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                engine.query(
+                    candidates, pf=pf, tau=0.7, algorithm="PIN",
+                    deadline_seconds=0.5,
+                )
+            elapsed = time.perf_counter() - started
+            # Clean timeout: raised once the budget expired, nowhere
+            # near the 30s stall, and the stalled worker was killed
+            # (and respawned, so the pool stays warm).
+            assert 0.45 <= elapsed < 5.0
+            assert excinfo.value.deadline_seconds == 0.5
+            assert engine.stats.deadline_exceeded == 1
+            assert engine.stats.pool_respawns >= 1
         assert_no_orphans()
         # The failed query is still a JSONL record.
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -249,14 +267,16 @@ class TestDelayAndDeadline:
     def test_deadline_met_returns_normally(
         self, world, candidates, pf, serial_answers
     ):
-        engine = QueryEngine(world, workers=4)
-        got = engine.query(
-            candidates, pf=pf, tau=0.7, algorithm="PIN", deadline_seconds=60.0
-        )
+        with QueryEngine(world, workers=2) as engine:
+            got = engine.query(
+                candidates, pf=pf, tau=0.7, algorithm="PIN",
+                deadline_seconds=60.0,
+            )
+            record = engine.metrics_log[-1]
+            assert engine.stats.deadline_exceeded == 0
         assert_same_result(got, serial_answers["PIN"], counters=True)
-        assert engine.stats.deadline_exceeded == 0
-        record = engine.metrics_log[-1]
         assert record["deadline_exceeded"] is False
+        assert record["tier"] == "pool"
 
     def test_serial_path_checks_deadline_cooperatively(
         self, world, candidates, pf
@@ -279,26 +299,27 @@ class TestDelayAndDeadline:
 
 class TestAccounting:
     def test_counters_accumulate_across_queries(self, world, candidates, pf):
-        engine = make_engine(
+        with make_engine(
             world, [FaultSpec(kind="crash", worker=1, times=1)]
-        )
-        engine.query(candidates, pf=pf, tau=0.5, algorithm="PIN")
-        engine.query(candidates, pf=pf, tau=0.8, algorithm="PIN")
-        assert engine.stats.queries == 2
-        assert engine.stats.worker_failures == 2
-        assert engine.stats.retries == 2
-        stats = engine.stats.as_dict()
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.5, algorithm="PIN")
+            engine.query(candidates, pf=pf, tau=0.8, algorithm="PIN")
+            stats = engine.stats
+        assert stats.queries == 2
+        assert stats.worker_failures == 2
+        assert stats.retries == 2
+        as_dict = stats.as_dict()
         for key in ("worker_failures", "retries", "degraded",
                     "deadline_exceeded"):
-            assert key in stats
+            assert key in as_dict
 
     def test_fault_free_queries_report_zero(self, world, candidates, pf):
-        engine = QueryEngine(world, workers=4)
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+        with QueryEngine(world, workers=2) as engine:
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            record = engine.metrics_log[-1]
         assert got.instrumentation.worker_failures == 0
         assert got.instrumentation.retries == 0
         assert got.instrumentation.degraded == 0
-        record = engine.metrics_log[-1]
         assert record["worker_failures"] == 0
         assert record["degraded"] is False
 
@@ -308,7 +329,7 @@ class TestAccounting:
     n_candidates=st.integers(min_value=4, max_value=10),
     algorithm=st.sampled_from(["NA", "PIN", "PIN-VO"]),
     kind=st.sampled_from(["crash", "exception", "delay"]),
-    worker=st.integers(min_value=0, max_value=3),
+    worker=st.integers(min_value=0, max_value=1),
     times=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
 )
@@ -316,7 +337,7 @@ class TestAccounting:
 def test_property_any_single_shard_fault_equals_serial(
     n_objects, n_candidates, algorithm, kind, worker, times, seed
 ):
-    """For any injected single-shard fault schedule, the supervised
+    """For any injected single-worker fault schedule, the supervised
     engine's answer equals the fault-free serial answer — through the
     retry path (times <= retry budget) and the degrade-to-serial path
     (times beyond it) alike."""
@@ -327,18 +348,19 @@ def test_property_any_single_shard_fault_equals_serial(
     want = select_location(
         objects, candidates, pf=pf, tau=0.7, algorithm=algorithm
     )
-    engine = make_engine(
+    with make_engine(
         objects,
         [FaultSpec(
             kind=kind, worker=worker, times=times, delay_seconds=0.01
         )],
-    )
-    got = engine.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
-    assert_same_result(got, want, counters=True)
-    # And once more through the warmed caches, fault schedule unchanged.
-    assert_same_result(
-        engine.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
-        want,
-        counters=True,
-    )
+    ) as engine:
+        got = engine.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
+        assert_same_result(got, want, counters=True)
+        # And once more through the warmed caches, fault schedule
+        # unchanged.
+        assert_same_result(
+            engine.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
+            want,
+            counters=True,
+        )
     assert_no_orphans()

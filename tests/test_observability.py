@@ -6,8 +6,8 @@ The contract under test is ``docs/observability.md``:
 * every admitted query produces one span tree (``admission`` → ``plan``
   → ``prune``/``dispatch``/``validate``/``merge``) whose ``trace_id``
   is stamped into the matching JSONL record (schema v2),
-* worker-side child spans travel back over the existing fork pipes and
-  pool reply queues and appear under the parent's dispatch/prune span,
+* worker-side child spans travel back over the pool's reply pipes and
+  appear under the parent's dispatch/prune span,
 * ``QueryEngine.metrics_text()`` renders valid Prometheus text
   exposition, and :class:`~repro.engine.MetricsServer` serves the same
   page over HTTP,
@@ -44,9 +44,9 @@ from repro.engine import (
     phase_seconds,
     read_trace_file,
     summarize_traces,
+    fork_available,
     worker_spans,
 )
-from repro.engine.parallel import fork_available
 from repro.engine.trace import record_span
 from repro.prob import PowerLawPF
 
@@ -206,7 +206,7 @@ class TestTracePrimitives:
         with root.child("plan", tier="serial"):
             pass
         child = root.child("dispatch", mode="serial")
-        child.attach(record_span("shard:na", time.time(),
+        child.attach(record_span("span:na", time.time(),
                                  time.perf_counter(), lo=0, hi=4))
         child.finish()
         tracer.export(root)
@@ -214,9 +214,9 @@ class TestTracePrimitives:
         assert trace["name"] == "query"
         assert trace["trace_id"]
         assert span_names(trace) == ["plan", "dispatch"]
-        shard = find_span(trace, "dispatch")["children"][0]
-        assert shard["name"] == "shard:na"
-        assert shard["attrs"]["lo"] == 0
+        worker_span = find_span(trace, "dispatch")["children"][0]
+        assert worker_span["name"] == "span:na"
+        assert worker_span["attrs"]["lo"] == 0
 
     def test_context_manager_records_errors(self):
         tracer = Tracer(enabled=True)
@@ -327,35 +327,25 @@ class TestEngineTracing:
             assert trace["attrs"]["tier"] == "serial"
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_span_trees_carry_worker_spans(
+    def test_pool_span_trees_carry_worker_spans(
         self, world, candidates, tmp_path
     ):
         engine, traces = self.run_engine(
             world, candidates, tmp_path, workers=2
         )
         na = traces[0]
-        assert span_names(na) == ["admission", "plan", "dispatch", "merge"]
-        shards = find_span(na, "dispatch")["children"]
-        assert [s["name"] for s in shards] == ["shard:na", "shard:na"]
-        assert all("pid" in s["attrs"] for s in shards)
-        vo = traces[2]
-        prunes = find_span(vo, "prune")["children"]
-        assert [s["name"] for s in prunes] == ["shard:vo_prune"] * 2
-        by_start = sorted(prunes, key=lambda s: s["start"])
-        assert worker_spans(vo) == by_start
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_pool_span_trees_carry_worker_spans(
-        self, world, candidates, tmp_path
-    ):
-        engine, traces = self.run_engine(
-            world, candidates, tmp_path, workers=2, pool=True
-        )
-        na = traces[0]
         assert traces[0]["attrs"]["tier"] == "pool"
+        assert span_names(na) == ["admission", "plan", "dispatch", "merge"]
+        assert find_span(na, "dispatch")["attrs"]["mode"] == "pool"
         spans = find_span(na, "dispatch")["children"]
         assert [s["name"] for s in spans] == ["span:na", "span:na"]
         assert sorted(s["attrs"]["worker"] for s in spans) == [0, 1]
+        assert all("pid" in s["attrs"] for s in spans)
+        vo = traces[2]
+        prunes = find_span(vo, "prune")["children"]
+        assert [s["name"] for s in prunes] == ["span:vo_prune"] * 2
+        by_start = sorted(prunes, key=lambda s: s["start"])
+        assert worker_spans(vo) == by_start
 
     def test_trace_ids_match_jsonl_records(self, world, candidates, tmp_path):
         engine, traces = self.run_engine(world, candidates, tmp_path)
@@ -373,7 +363,7 @@ class TestEngineTracing:
     def test_batch_traces_every_request(self, world, candidates, tmp_path):
         path = tmp_path / "traces.jsonl"
         engine = QueryEngine(
-            world, workers=2, pool=True, trace_path=path,
+            world, workers=2, trace_path=path,
             metrics_path=tmp_path / "metrics.jsonl",
         )
         try:
@@ -542,7 +532,7 @@ class TestBitIdentity:
 def test_property_tracing_preserves_results_under_faults(
     n_objects, n_candidates, algorithm, kind, worker, seed, tmp_path_factory
 ):
-    """With tracing ON and any single-shard fault schedule, the engine's
+    """With tracing ON and any single-worker fault schedule, the engine's
     answer still equals fault-free serial execution — the span tree
     observes the retry/degrade machinery without steering it."""
     rng = np.random.default_rng(seed)

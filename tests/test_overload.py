@@ -8,7 +8,7 @@ and degradation-ladder semantics:
   shed with a typed ``QueryShed`` outcome (never a silent drop — every
   shed emits a JSONL record), and the shedding policy decides *which*
   queries go,
-* the pool → fork → serial degradation ladder is *lossless* and
+* the pool → serial degradation ladder is *lossless* and
   deterministic: repeated tier failures trip that tier's circuit
   breaker, later queries route to the next tier down, and every
   completed query stays bit-identical to fault-free serial execution —
@@ -303,13 +303,11 @@ class TestDegradationLadder:
             BreakerConfig(failure_threshold=1, recovery_seconds=100.0),
             clock=clock,
         )
-        tiers = ("pool", "fork", "serial")
+        tiers = ("pool", "serial")
         assert ladder.select(tiers) == "pool"
         ladder.record("pool", ok=False)
-        assert ladder.select(tiers) == "fork"
-        ladder.record("fork", ok=False)
         assert ladder.select(tiers) == "serial"
-        assert ladder.trips == 2
+        assert ladder.trips == 1
         # recovery walks back up
         clock.now = 100.0
         assert ladder.select(tiers) == "pool"
@@ -467,7 +465,7 @@ class TestCloseLifecycle:
         self, world, candidates, pf
     ):
         with pytest.raises(RuntimeError, match="boom"):
-            with QueryEngine(world, workers=2, pool=True) as engine:
+            with QueryEngine(world, workers=2) as engine:
                 engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
                 assert pool_segments(), "pooled query published a segment"
                 raise RuntimeError("boom")
@@ -622,7 +620,7 @@ class TestHealth:
         engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
         h = engine.health()
         assert h["status"] == "ok" and h["tier"] == "serial"
-        assert set(h["breakers"]) == {"pool", "fork"}
+        assert set(h["breakers"]) == {"pool"}
         assert h["admission"]["max_inflight"] == 4
         assert set(h["caches"]) == {
             "tables", "candidate_sets", "rtrees", "prunings", "sketches"
@@ -653,10 +651,10 @@ class TestHealth:
         engine.close()
 
     @fork_only
-    def test_health_reports_degraded_when_fork_breaker_open(
+    def test_health_reports_degraded_when_pool_breaker_open(
         self, world, candidates, pf
     ):
-        engine = QueryEngine(
+        with QueryEngine(
             world,
             workers=2,
             supervisor_policy=FAST,
@@ -664,24 +662,27 @@ class TestHealth:
             fault_injector=FaultInjector(
                 [FaultSpec(kind="crash", query=0, times=99)]
             ),
-        )
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        h = engine.health()
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            h = engine.health()
         assert h["status"] == "degraded"
         assert h["tier"] == "serial"
-        assert h["breakers"]["fork"]["state"] == "open"
+        assert h["breakers"]["pool"]["state"] == "open"
         assert h["breaker_trips"] >= 1
 
 
 # ---------------------------------------------------------------------------
-# The degradation ladder inside the engine (fork path)
+# The degradation ladder inside the engine (pool → serial)
 # ---------------------------------------------------------------------------
 @fork_only
 class TestEngineLadder:
-    def test_tripped_fork_breaker_routes_next_queries_serial(
+    def test_tripped_pool_breaker_routes_next_queries_serial(
         self, world, candidates, pf
     ):
-        engine = QueryEngine(
+        want = select_location(
+            world, candidates, pf=pf, tau=0.7, algorithm="PIN"
+        )
+        with QueryEngine(
             world,
             workers=2,
             supervisor_policy=FAST,
@@ -691,25 +692,26 @@ class TestEngineLadder:
             fault_injector=FaultInjector(
                 [FaultSpec(kind="crash", query=0, times=99)]
             ),
-        )
+        ) as engine:
+            # query 0: persistent crashes trip the pool breaker and the
+            # query degrades to serial — bit-identical regardless
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert_same_result(got, want, counters=True)
+            assert engine.stats.breaker_trips >= 1
+            assert engine.metrics_log[-1]["tier"] == "pool"
+            assert engine.metrics_log[-1]["degraded"] is True
+            # query 1: the ladder routes it straight to serial — no
+            # worker dispatch, no retry cost, same answer
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert_same_result(got, want, counters=True)
+            assert engine.metrics_log[-1]["tier"] == "serial"
+            assert engine.metrics_log[-1]["worker_failures"] == 0
+
+    def test_breaker_self_heals_through_a_probe(self, world, candidates, pf):
         want = select_location(
             world, candidates, pf=pf, tau=0.7, algorithm="PIN"
         )
-        # query 0: persistent crashes trip the fork breaker and the
-        # query degrades to serial — bit-identical regardless
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, want, counters=True)
-        assert engine.stats.breaker_trips >= 1
-        assert engine.metrics_log[-1]["tier"] == "fork"
-        # query 1: the ladder routes it straight to serial — no worker
-        # dispatch, no retry cost, same answer
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, want, counters=True)
-        assert engine.metrics_log[-1]["tier"] == "serial"
-        assert engine.metrics_log[-1]["worker_failures"] == 0
-
-    def test_breaker_self_heals_through_a_probe(self, world, candidates, pf):
-        engine = QueryEngine(
+        with QueryEngine(
             world,
             workers=2,
             supervisor_policy=FAST,
@@ -719,18 +721,16 @@ class TestEngineLadder:
             fault_injector=FaultInjector(
                 [FaultSpec(kind="crash", query=0, times=99)]
             ),
-        )
-        want = select_location(
-            world, candidates, pf=pf, tau=0.7, algorithm="PIN"
-        )
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert engine.stats.breaker_trips >= 1
-        # zero recovery window: the next query probes the fork tier,
-        # runs clean (the fault was keyed to query 0), and closes it
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, want, counters=True)
-        assert engine.metrics_log[-1]["tier"] == "fork"
-        assert engine.health()["breakers"]["fork"]["state"] == "closed"
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert engine.stats.breaker_trips >= 1
+            # zero recovery window: the next query probes the pool
+            # tier, runs clean (the fault was keyed to query 0), and
+            # closes it
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert_same_result(got, want, counters=True)
+            assert engine.metrics_log[-1]["tier"] == "pool"
+            assert engine.health()["breakers"]["pool"]["state"] == "closed"
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +764,7 @@ class TestLosslessLadderProperty:
             faults.append(
                 FaultSpec(kind="overload", query=overload_at, times=1)
             )
-        engine = QueryEngine(
+        with QueryEngine(
             world,
             workers=2,
             supervisor_policy=FAST,
@@ -775,19 +775,19 @@ class TestLosslessLadderProperty:
                 if tiny_caches else None
             ),
             fault_injector=FaultInjector(faults),
-        )
-        completed = 0
-        for q in range(3):
-            try:
-                got = engine.query(
-                    candidates, pf=pf, tau=0.7, algorithm="PIN-VO"
-                )
-            except QueryShedError as exc:
-                assert isinstance(exc.shed, QueryShed)
-                continue
-            completed += 1
-            assert_same_result(got, serial_answer, counters=True)
+        ) as engine:
+            completed = 0
+            for q in range(3):
+                try:
+                    got = engine.query(
+                        candidates, pf=pf, tau=0.7, algorithm="PIN-VO"
+                    )
+                except QueryShedError as exc:
+                    assert isinstance(exc.shed, QueryShed)
+                    continue
+                completed += 1
+                assert_same_result(got, serial_answer, counters=True)
+            stats = engine.stats
         # the ladder is lossless: whatever was admitted, completed
-        assert completed == engine.stats.queries - engine.stats.queries_shed
-        assert engine.stats.queries == 3
-        engine.close()
+        assert completed == stats.queries - stats.queries_shed
+        assert stats.queries == 3

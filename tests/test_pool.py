@@ -3,7 +3,7 @@
 The claims under test, matching ``docs/architecture.md``'s pool
 semantics:
 
-* a pool-served query (``QueryEngine(..., pool=True)``) returns the
+* a pool-served query (``QueryEngine(..., workers=N)``, N > 1) returns the
   bit-identical answer of a fresh serial ``select_location`` call —
   full influence table and logical work counters — for every
   algorithm, and ``query_batch`` is bit-identical to issuing the same
@@ -14,6 +14,10 @@ semantics:
 * shared-memory segments never leak: ``close()`` unlinks every
   ``/dev/shm`` entry the pool created, and an engine abandoned without
   ``close()`` is cleaned up at interpreter exit,
+* several threads sharing one engine (as the HTTP front end's executor
+  threads do) each get the serial answer, and none of them hangs,
+* a query whose PF cannot be pickled to the workers runs on the serial
+  tier, with the serial answer,
 * no orphan worker processes survive any of the above.
 """
 
@@ -22,6 +26,8 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +36,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import QueryEngine, select_location
-from repro.engine import FaultInjector, FaultSpec, QueryRequest, pool_segments
-from repro.engine.parallel import fork_available
-from repro.prob import PowerLawPF
+from repro.engine import (
+    FaultInjector,
+    FaultSpec,
+    QueryRequest,
+    fork_available,
+    pool_segments,
+)
+from repro.prob import CallablePF, PowerLawPF
 
 from .helpers import make_candidates, make_objects
 from .test_engine import ALGORITHMS, assert_same_result
@@ -59,7 +70,7 @@ def pooled_engine(objects, faults=(), **kwargs):
     kwargs.setdefault("workers", 4)
     kwargs.setdefault("supervisor_policy", fast_policy())
     injector = FaultInjector(list(faults)) if faults else None
-    return QueryEngine(objects, pool=True, fault_injector=injector, **kwargs)
+    return QueryEngine(objects, fault_injector=injector, **kwargs)
 
 
 class TestBitIdentity:
@@ -177,6 +188,90 @@ class TestSupervision:
         assert_no_orphans()
 
 
+class TestConcurrentCallers:
+    """One engine, many threads — the HTTP front end's executor shape.
+
+    Every dispatch round owns the pool's pipes for its duration, so
+    concurrent queries queue for the pool instead of reading each
+    other's replies.
+    """
+
+    THREADS = 4
+    QUERIES_PER_THREAD = 6
+    #: generous for 24 small queries, short enough to fail a hang fast
+    JOIN_TIMEOUT = 60.0
+
+    def test_threads_sharing_one_engine_get_serial_answers(self, world, pf):
+        rng = np.random.default_rng(12)
+        cand_sets = [make_candidates(rng, 12) for _ in range(8)]
+        serial = QueryEngine(world)
+        want = [
+            serial.query(c, pf=pf, tau=0.7, algorithm="PIN")
+            for c in cand_sets
+        ]
+        got: dict = {}
+        errors: list = []
+
+        def client(thread: int) -> None:
+            try:
+                for i in range(self.QUERIES_PER_THREAD):
+                    k = (thread + i * self.THREADS) % len(cand_sets)
+                    got[thread, i] = k, engine.query(
+                        cand_sets[k], pf=pf, tau=0.7, algorithm="PIN"
+                    )
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        engine = QueryEngine(world, workers=2)
+        threads = [
+            threading.Thread(target=client, args=(t,), daemon=True)
+            for t in range(self.THREADS)
+        ]
+        # switch threads often so unsynchronised pool access interleaves
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + self.JOIN_TIMEOUT
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(switch_interval)
+        hung = sum(thread.is_alive() for thread in threads)
+        if not hung:
+            # a hung round would hold the pool, and close() waits on it
+            engine.close()
+        assert hung == 0, f"{hung} thread(s) still waiting on the pool"
+        assert errors == []
+        assert len(got) == self.THREADS * self.QUERIES_PER_THREAD
+        for k, result in got.values():
+            assert_same_result(result, want[k], counters=True)
+        assert engine.stats.spans_dispatched > 0
+        assert {r["tier"] for r in engine.metrics_log} == {"pool"}
+        assert pool_segments() == []
+        assert_no_orphans()
+
+
+class TestUnpicklablePF:
+    """A PF the workers cannot receive runs serially, same answer."""
+
+    def test_lambda_pf_runs_on_the_serial_tier(self, world, candidates):
+        pf = CallablePF(lambda d: 0.9 / (1.0 + np.asarray(d)))
+        with QueryEngine(world, workers=2) as engine:
+            for algorithm in ("PIN", "PIN-VO"):
+                got = engine.query(
+                    candidates, pf=pf, tau=0.5, algorithm=algorithm
+                )
+                want = select_location(
+                    world, candidates, pf=pf, tau=0.5, algorithm=algorithm
+                )
+                assert_same_result(got, want, counters=True)
+                assert engine.metrics_log[-1]["tier"] == "serial"
+            assert engine.stats.spans_dispatched == 0
+        assert_no_orphans()
+
+
 class TestWorkerRebuild:
     """The worker-side table rebuild is dead weight no more.
 
@@ -281,7 +376,7 @@ class TestLifecycle:
                 Candidate(j, float(x), float(y))
                 for j, (x, y) in enumerate(rng.uniform(0, 20, size=(8, 2)))
             ]
-            engine = QueryEngine(objects, workers=2, pool=True)
+            engine = QueryEngine(objects, workers=2)
             engine.query(candidates, pf=PowerLawPF(), tau=0.7,
                          algorithm="PIN")
             assert pool_segments(), "segment should be live before exit"

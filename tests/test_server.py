@@ -22,6 +22,7 @@ from repro.engine import (
     TenantAdmission,
     TenantBudget,
     TenantLoad,
+    fork_available,
     run_load_sync,
 )
 from repro.engine.loadgen import _percentile
@@ -163,6 +164,62 @@ class TestQueryRoundtrip:
 # ---------------------------------------------------------------------------
 # Typed errors — malformed input never produces a traceback
 # ---------------------------------------------------------------------------
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestConcurrentPooledQueries:
+    """The front end's executor threads share one ``workers=2`` engine."""
+
+    def test_concurrent_queries_match_serial(self, world):
+        rng = np.random.default_rng(21)
+        cand_sets = [make_candidates(rng, 10) for _ in range(8)]
+        serial = QueryEngine(world)
+        want = [
+            serial.query(c, tau=0.7, algorithm="PIN") for c in cand_sets
+        ]
+        replies: dict = {}
+        errors: list = []
+
+        def client(port: int, thread: int) -> None:
+            try:
+                for i in range(6):
+                    k = (thread + 4 * i) % len(cand_sets)
+                    replies[thread, i] = k, _request(
+                        port, "POST", "/v1/query",
+                        {"candidates": _coords(cand_sets[k]), "tau": 0.7,
+                         "algorithm": "PIN"},
+                    )
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        tenants = TenantAdmission(default=TenantBudget(max_inflight=8))
+        with BackgroundServer(
+            QueryEngine(world, workers=2), tenants=tenants
+        ) as server:
+            threads = [
+                threading.Thread(
+                    target=client, args=(server.port, t), daemon=True
+                )
+                for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+            tiers = {r["tier"] for r in server.front.engine.metrics_log}
+        assert errors == []
+        assert len(replies) == 24
+        assert tiers == {"pool"}
+        for k, (status, body) in replies.values():
+            assert status == 200
+            assert body["influences"] == {
+                str(cid): count for cid, count in want[k].influences.items()
+            }
+            assert body["best_candidate"]["id"] == (
+                want[k].best_candidate.candidate_id
+            )
+
+
 class TestTypedErrors:
     @pytest.fixture(scope="class")
     def server(self, world):
@@ -590,10 +647,21 @@ class TestServeCLIFlags:
 
         assert main(["serve", "--port", "-1"]) == 2
         assert main(["serve", "--workers", "-2"]) == 2
-        assert main(["serve", "--pool"]) == 2  # pool needs workers >= 2
         assert main(["serve", "--shed-policy", "nope"]) == 2
         assert main(["serve", "--drain-seconds", "-1"]) == 2
         assert main(["serve", "--max-inflight", "0"]) == 2
+        capsys.readouterr()
+
+    def test_pool_flag_is_gone_and_batch_needs_workers(self, capsys):
+        from repro.cli import main
+
+        # --workers N (N >= 2) is the pool; there is no separate flag
+        for command in ("serve", "serve-bench"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--pool"])
+            assert exc.value.code == 2
+        assert main(["serve-bench", "--batch"]) == 2
+        assert main(["serve-bench", "--batch", "--workers", "1"]) == 2
         capsys.readouterr()
 
     def test_serve_bench_server_rejects_bad_values(self, capsys):
