@@ -14,7 +14,7 @@ bench:           ## paper-table benchmarks (archive under results/)
 bench-record:    ## serving scenarios (serial, pool, batched, overload) -> BENCH_{4,5}.json + results/engine_{serving,overload,observability}.txt
 	$(PY) benchmarks/record_bench.py
 
-bench-ladder:    ## small-rung scale-ladder smoke (asserts columnar/legacy bit-identity; full ladder: --ladder -> BENCH_6.json)
+bench-ladder:    ## small-rung scale-ladder smoke (asserts join/dense bit-identity; full ladder: --ladder -> BENCH_6.json)
 	$(PY) benchmarks/record_bench.py --ladder-smoke
 
 bench-server:    ## HTTP front-end overload curves -> BENCH_8.json + results/engine_http_frontend.txt

@@ -15,7 +15,7 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunk
+from repro.core.pruning import classify_span
 from repro.geo.mbr import MBR
 from repro.index import RTree, UniformGrid
 from repro.model import MovingObject
@@ -71,10 +71,10 @@ def test_kernel_batch_validate_objects(benchmark):
     benchmark(batch_validate_objects, PF, objects, 15.0, 15.0, LOG_THR)
 
 
-def test_kernel_classification_chunk(benchmark, cand_xy):
+def test_kernel_classification_join(benchmark, cand_xy):
     rng = np.random.default_rng(3)
     table = ObjectTable(make_objects(rng, 256, extent=30.0), PF, 0.7)
-    benchmark(classify_chunk, table.entries, cand_xy)
+    benchmark(classify_span, *table.mbr_radius_arrays(), cand_xy)
 
 
 def test_kernel_rtree_bulk_load(benchmark, cand_xy):

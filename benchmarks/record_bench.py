@@ -38,9 +38,12 @@ p99 bound with a non-empty shed count, and traced pool p50 within
 1.05× of untraced — are checked here and reported in the artifacts.
 
 ``--ladder`` switches to the object-count scale ladder instead:
-10³ → 10⁶ objects at constant spatial density, measuring the columnar
-IA/NIB classification kernel against the legacy per-entry path (with
-a chunk-wise bit-identity gate), warm-serial query latency, a pool
+10³ → 10⁶ objects at constant spatial density, measuring the cell-block
+IA/NIB classification join against the dense broadcast (the join on a
+forced 1×1 grid; with a bit-identity gate on ``minInf``, every
+verification set, the IA sets and the pair counts, and the pairs the
+join tested),
+warm-serial query latency, a pool
 worker sweep, and the process's peak RSS per rung — written to
 ``BENCH_6.json`` + ``results/engine_scale_ladder.txt``.
 ``--ladder-smoke`` (the ``make bench-ladder`` CI step) runs only the
@@ -84,7 +87,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunks, classify_table_chunks
+from repro.core.pruning import VerificationSets, classify_span, join_cells
 from repro.datasets import gowalla_like
 from repro.engine import (
     FaultInjector,
@@ -393,34 +396,35 @@ def classification_microbench(
     cand_xy: np.ndarray,
     reps: int = 3,
 ) -> dict:
-    """Columnar vs legacy full-table classification, per query.
+    """The cell-block join against the dense broadcast, per query.
 
-    The legacy pass is exactly what every query used to pay: rebuild
-    the five MBR/radius arrays from the Python entry list, then
-    broadcast.  The columnar pass reads the table-cached arrays.  Both
-    are checked chunk-by-chunk for bit-identity before timing.
+    The dense broadcast over all ``n · m`` pairs is the join on a
+    forced 1×1 grid (``tests/test_join_differential.py`` checks that
+    against an independent dense oracle).  The join's output on the
+    grid the cost model picks — ``minInf``, every verification set and
+    IA set in entry order, the IA/NIB pair counts — is checked for
+    bit-identity with it before both are timed.  ``pairs_tested`` is
+    how many pairs the join's exact tests ran on.
     """
-    identical = True
-    legacy_iter = classify_chunks(table.entries, cand_xy)
-    for start, stop, ia, band in classify_table_chunks(table, cand_xy):
-        _, legacy_ia, legacy_band = next(legacy_iter)
-        if not (
-            np.array_equal(ia, legacy_ia)
-            and np.array_equal(band, legacy_band)
-        ):
-            identical = False
+    mbrs, radii = table.mbr_radius_arrays()
+    split = classify_span(mbrs, radii, cand_xy, with_ia=True)
+    dense = join_cells(mbrs, radii, cand_xy, (1, 1), with_ia=True)
 
-    def columnar_pass():
-        pairs = 0
-        for _, _, ia, band in classify_table_chunks(table, cand_xy):
-            pairs += int(np.count_nonzero(ia)) + int(np.count_nonzero(band))
-        return pairs
+    def same_sets(a, b):
+        return len(a) == len(b) and all(
+            np.array_equal(x, y) for x, y in zip(a, b)
+        )
 
-    def legacy_pass():
-        pairs = 0
-        for _, ia, band in classify_chunks(table.entries, cand_xy):
-            pairs += int(np.count_nonzero(ia)) + int(np.count_nonzero(band))
-        return pairs
+    def ia_sets(c):
+        return VerificationSets.from_pairs(c.ia_obj, c.ia_cand, c.m)
+
+    identical = (
+        np.array_equal(split.ia_counts, dense.ia_counts)
+        and split.ia_pairs == dense.ia_pairs
+        and split.nib_pairs == dense.nib_pairs
+        and same_sets(split.verification_sets(), dense.verification_sets())
+        and same_sets(ia_sets(split), ia_sets(dense))
+    )
 
     def best_of(fn):
         times = []
@@ -430,18 +434,22 @@ def classification_microbench(
             times.append(time.perf_counter() - started)
         return min(times)
 
-    columnar_pass()  # warm the table-cached arrays once
-    columnar_s = best_of(columnar_pass)
-    legacy_s = best_of(legacy_pass)
+    join_s = best_of(
+        lambda: classify_span(mbrs, radii, cand_xy).verification_sets()
+    )
+    dense_s = best_of(
+        lambda: join_cells(mbrs, radii, cand_xy, (1, 1)).verification_sets()
+    )
     pairs = table.live_count * cand_xy.shape[0]
     return {
-        "bit_identical": identical,
-        "columnar_ms_per_query": round(columnar_s * 1000.0, 3),
-        "legacy_ms_per_query": round(legacy_s * 1000.0, 3),
-        "speedup": round(legacy_s / columnar_s, 2) if columnar_s else None,
-        "pairs_per_second_columnar": (
-            round(pairs / columnar_s) if columnar_s else None
-        ),
+        "bit_identical": bool(identical),
+        "grid": list(split.grid),
+        "pairs_total": pairs,
+        "pairs_tested": split.pairs_tested,
+        "join_ms_per_query": round(join_s * 1000.0, 3),
+        "dense_ms_per_query": round(dense_s * 1000.0, 3),
+        "speedup": round(dense_s / join_s, 2) if join_s else None,
+        "pairs_per_second_join": round(pairs / join_s) if join_s else None,
     }
 
 
@@ -578,9 +586,7 @@ def run_scale_ladder(
     identical = all(r["classification"]["bit_identical"] for r in results)
     headline = {
         "top_rung_objects": top["n_objects"],
-        "columnar_vs_legacy_classification": top["classification"][
-            "speedup"
-        ],
+        "join_vs_dense_classification": top["classification"]["speedup"],
         "pool_vs_serial_p50": top["comparisons"].get("pool_vs_serial_p50"),
     }
     ratio = headline["pool_vs_serial_p50"]
@@ -613,7 +619,8 @@ def render_ladder(payload: dict) -> str:
     """The ladder table archived to ``results/engine_scale_ladder.txt``."""
     table = TextTable(
         [
-            "objects", "cands", "columnar ms", "legacy ms", "kernel x",
+            "objects", "cands", "grid", "pairs tested", "join ms",
+            "dense ms", "kernel x",
             "serial p50", "pool p50", "pool x", "peak rss MB",
         ]
     )
@@ -624,8 +631,10 @@ def render_ladder(payload: dict) -> str:
         table.add_row(
             [
                 r["n_objects"], r["n_candidates"],
-                micro["columnar_ms_per_query"],
-                micro["legacy_ms_per_query"],
+                "x".join(map(str, micro["grid"])),
+                micro["pairs_tested"],
+                micro["join_ms_per_query"],
+                micro["dense_ms_per_query"],
                 micro["speedup"],
                 r["scenarios"]["warm-serial"]["p50_ms"],
                 pool_p50,
@@ -644,8 +653,8 @@ def render_ladder(payload: dict) -> str:
             )
         ),
         (
-            "columnar and legacy classification kernels bit-identical on "
-            f"every rung: {t['bit_identical']}"
+            "cell-block join bit-identical to the dense broadcast "
+            f"(1×1 grid) on every rung: {t['bit_identical']}"
         ),
         (
             f"top-rung pool vs warm-serial p50: "
@@ -667,7 +676,7 @@ def main_ladder(args) -> int:
         print(render_ladder(payload))
         if not payload["targets"]["bit_identical"]:
             print(
-                "columnar/legacy kernel mismatch on the smoke rungs",
+                "join/dense classification mismatch on the smoke rungs",
                 file=sys.stderr,
             )
             return 1
@@ -1710,7 +1719,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--ladder-smoke", action="store_true",
         help="CI smoke: the two small ladder rungs, asserting the "
-        "columnar and legacy kernels agree bit-identically",
+        "classification join agrees bit-identically with the dense "
+        "broadcast",
     )
     parser.add_argument(
         "--out-ladder", default=str(ROOT / "BENCH_6.json"),

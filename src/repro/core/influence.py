@@ -269,7 +269,9 @@ def batch_validate_spans(
     if k == 0:
         return np.zeros(0, dtype=bool)
     starts = offsets[idx]
-    lengths = offsets[idx + 1] - starts
+    # offsets[1:][idx], not offsets[idx + 1]: ``idx + 1`` keeps a
+    # uint32 index's dtype and would wrap at the top of its range
+    lengths = offsets[1:][idx] - starts
     if counters is not None:
         counters.pairs_validated += k
         counters.positions_total += int(lengths.sum())

@@ -1,7 +1,8 @@
 """PINOCCHIO — Algorithm 2 of the paper.
 
-Per object: prune candidates with the IA/NIB rules through the
-candidate R-tree, then validate the surviving band exactly.  Produces
+Prune object-candidate pairs with the IA/NIB rules (the cell-block
+spatial join over the table, or the paper's per-object candidate
+R-tree queries), then validate the surviving band exactly.  Produces
 the full influence table (every candidate's exact influence), like NA
 but with roughly two thirds of the object-candidate pairs never
 touched (Fig 10).
@@ -20,7 +21,7 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_candidates, classify_table_chunks
+from repro.core.pruning import classify_candidates, classify_parts
 from repro.core.result import Instrumentation, LSResult, full_table_result
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -39,9 +40,10 @@ class Pinocchio(LocationSelector):
         use_rtree: bool = False,
     ):
         """``use_rtree=True`` reproduces the paper's candidate R-tree
-        range queries; the default classifies candidates with chunked
-        broadcast scans, which is the faster analogue in NumPy (the
-        split produced is identical — see the ablation bench)."""
+        range queries, one per object; the default classifies the table
+        with the cell-block spatial join, 1,024 entries at a time
+        (:func:`repro.core.pruning.classify_parts`), the faster analogue
+        in NumPy (the split produced is identical)."""
         if kernel not in ("vector", "scalar"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self.kernel = kernel
@@ -107,31 +109,16 @@ class Pinocchio(LocationSelector):
                         )
         else:
             positions, offsets = table.positions_offsets()
-            for start, stop, ia, band in classify_table_chunks(
-                table, cand_xy
-            ):
-                ia_count = int(np.count_nonzero(ia))
-                band_count = int(np.count_nonzero(band))
-                counters.pairs_pruned_ia += ia_count
-                counters.pairs_pruned_nib += (
-                    (stop - start) * m - ia_count - band_count
-                )
-                influence += ia.sum(axis=0)
-                rows, cols = np.nonzero(band)
-                boundaries = np.searchsorted(
-                    rows, np.arange(stop - start + 1)
-                )
+            for part in classify_parts(*table.mbr_radius_arrays(), cand_xy):
+                part.count_into(counters)
+                influence += part.ia_counts
                 with counters.phase("validation"):
-                    for i in range(stop - start):
-                        maybe = cols[boundaries[i] : boundaries[i + 1]]
-                        if maybe.size:
-                            self._validate_band(
-                                positions[
-                                    offsets[start + i] : offsets[start + i + 1]
-                                ],
-                                maybe, cand_xy, pf,
-                                log_threshold, influence, counters,
-                            )
+                    for i, maybe in part.band_by_object():
+                        self._validate_band(
+                            positions[offsets[i] : offsets[i + 1]],
+                            maybe, cand_xy, pf,
+                            log_threshold, influence, counters,
+                        )
         validation_delta = counters.validation_seconds - validation_before
         counters.pruning_seconds += (
             time.perf_counter() - started

@@ -48,7 +48,11 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_candidates, classify_table_chunks
+from repro.core.pruning import (
+    VerificationSets,
+    classify_candidates,
+    classify_span,
+)
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -74,8 +78,8 @@ class PinocchioVO(LocationSelector):
         fail_fast: bool = False,
     ):
         """``use_rtree=True`` reproduces the paper's candidate R-tree
-        range queries; the default uses the equivalent chunked
-        broadcast classification (see :class:`repro.core.Pinocchio`).
+        range queries; the default uses the equivalent cell-block
+        spatial join (see :class:`repro.core.Pinocchio`).
         ``fail_fast`` enables the sound reject-early bound described in
         DESIGN.md §5 (an extension beyond the paper, off by default).
         """
@@ -118,7 +122,7 @@ class PinocchioVO(LocationSelector):
         tau: float,
         counters: Instrumentation,
         min_inf: np.ndarray,
-        vs_indexes: list[np.ndarray],
+        vs_indexes: VerificationSets,
     ) -> LSResult:
         """Strategy-1/2 validation given the pruning phase's output.
 
@@ -132,7 +136,7 @@ class PinocchioVO(LocationSelector):
         timer_started = time.perf_counter()
 
         # maxInf(c) = minInf(c) + |VS(c)| (see module docstring).
-        max_inf = min_inf + np.array([v.size for v in vs_indexes], dtype=int)
+        max_inf = min_inf + vs_indexes.sizes()
         maxmin_inf = int(min_inf.max())
         best_idx = int(min_inf.argmax())
         fully_validated: dict[int, int] = {}
@@ -188,64 +192,46 @@ class PinocchioVO(LocationSelector):
         table: ObjectTable,
         cand_xy: np.ndarray,
         counters: Instrumentation,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, VerificationSets]:
         """IA/NIB pruning.
 
-        Returns certified influence lower bounds (``minInf``) and, per
-        candidate, the verification set as an array of indexes into
-        ``table.entries``.
+        Returns certified influence lower bounds (``minInf``) and the
+        verification sets: per candidate, the indexes into
+        ``table.entries`` still to validate, in ascending order.
         """
         m = cand_xy.shape[0]
-        min_inf = np.zeros(m, dtype=int)
         if not self.use_pruning:
-            everything = np.arange(table.live_count)
-            return min_inf, [everything] * m
-        if self.use_rtree:
-            return self._prune_with_rtree(table, cand_xy, counters, min_inf)
-        all_rows: list[np.ndarray] = []
-        all_cols: list[np.ndarray] = []
-        for start, stop, ia, band in classify_table_chunks(table, cand_xy):
-            ia_count = int(np.count_nonzero(ia))
-            band_count = int(np.count_nonzero(band))
-            counters.pairs_pruned_ia += ia_count
-            counters.pairs_pruned_nib += (
-                (stop - start) * m - ia_count - band_count
+            return (
+                np.zeros(m, dtype=int),
+                VerificationSets.everything(table.live_count, m),
             )
-            min_inf += ia.sum(axis=0)
-            rows, cols = np.nonzero(band)
-            all_rows.append(rows + start)
-            all_cols.append(cols)
-        rows = np.concatenate(all_rows) if all_rows else np.empty(0, dtype=int)
-        cols = np.concatenate(all_cols) if all_cols else np.empty(0, dtype=int)
-        # Group band pairs by candidate with one sort instead of
-        # per-pair list appends.
-        order = np.argsort(cols, kind="stable")
-        rows = rows[order]
-        cols = cols[order]
-        boundaries = np.searchsorted(cols, np.arange(m + 1))
-        vs_indexes = [
-            rows[boundaries[j] : boundaries[j + 1]] for j in range(m)
-        ]
-        return min_inf, vs_indexes
+        if self.use_rtree:
+            return self._prune_with_rtree(table, cand_xy, counters)
+        split = classify_span(*table.mbr_radius_arrays(), cand_xy)
+        split.count_into(counters)
+        return split.ia_counts, split.verification_sets()
 
     def _prune_with_rtree(
         self,
         table: ObjectTable,
         cand_xy: np.ndarray,
         counters: Instrumentation,
-        min_inf: np.ndarray,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, VerificationSets]:
         m = cand_xy.shape[0]
+        min_inf = np.zeros(m, dtype=int)
         rtree = self._candidate_rtree(cand_xy, self.rtree_max_entries)
-        sets: list[list[int]] = [[] for _ in range(m)]
+        objs = [np.empty(0, dtype=np.uint32)]
+        cands = [np.empty(0, dtype=np.intp)]
         for i, entry in enumerate(table.entries):
             outcome = classify_candidates(entry, cand_xy, rtree)
             counters.pairs_pruned_ia += outcome.certain.size
             counters.pairs_pruned_nib += outcome.pruned_nib
             min_inf[outcome.certain] += 1
-            for j in outcome.maybe.tolist():
-                sets[j].append(i)
-        return min_inf, [np.array(s, dtype=int) for s in sets]
+            objs.append(np.full(outcome.maybe.size, i, dtype=np.uint32))
+            cands.append(outcome.maybe)
+        return min_inf, VerificationSets.from_pairs(
+            np.concatenate(objs), np.concatenate(cands), m
+        )
 
     # ------------------------------------------------------------------
     # Validation phase

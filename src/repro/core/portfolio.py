@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.base import candidates_to_array
 from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunks
+from repro.core.pruning import classify_parts
 from repro.core.result import Instrumentation
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -57,29 +57,20 @@ def influence_bitsets(
     counters.pairs_total = r * m
     log_threshold = influence_threshold_log(tau)
     masks = np.zeros((m, r), dtype=bool)
-    row_offset = 0
-    for chunk, ia, band in classify_chunks(table.entries, cand_xy):
-        counters.pairs_pruned_ia += int(np.count_nonzero(ia))
-        counters.pairs_pruned_nib += int(
-            len(chunk) * m - np.count_nonzero(ia) - np.count_nonzero(band)
-        )
-        masks[:, row_offset : row_offset + len(chunk)] |= ia.T
-        rows, cols = np.nonzero(band)
-        boundaries = np.searchsorted(rows, np.arange(len(chunk) + 1))
-        for i, entry in enumerate(chunk):
-            maybe = cols[boundaries[i] : boundaries[i + 1]]
-            if not maybe.size:
-                continue
-            logs = batch_log_non_influence(
-                pf, entry.obj.positions, cand_xy[maybe]
-            )
-            influenced = maybe[logs <= log_threshold]
-            masks[influenced, row_offset + i] = True
+    entries = table.entries
+    for part in classify_parts(
+        *table.mbr_radius_arrays(), cand_xy, with_ia=True
+    ):
+        part.count_into(counters)
+        masks[part.ia_cand, part.ia_obj] = True
+        for i, maybe in part.band_by_object():
+            obj = entries[i].obj
+            logs = batch_log_non_influence(pf, obj.positions, cand_xy[maybe])
+            masks[maybe[logs <= log_threshold], i] = True
             counters.pairs_validated += maybe.size
-            n = entry.obj.n_positions
+            n = obj.n_positions
             counters.positions_total += n * maybe.size
             counters.positions_evaluated += n * maybe.size
-        row_offset += len(chunk)
     return [masks[j] for j in range(m)]
 
 

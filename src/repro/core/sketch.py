@@ -239,20 +239,14 @@ class InfluenceSketch:
         m = int(cand_xy.shape[0])
         if self.k == 0 or m == 0:
             return np.zeros(m, dtype=float)
-        ia, band = classify_span(self.mbrs, self.radii, cand_xy)
-        counts = ia.sum(axis=0).astype(np.int64)
+        split = classify_span(self.mbrs, self.radii, cand_xy)
+        counts = split.ia_counts
         if counters is not None:
-            counters.pairs_pruned_ia += int(counts.sum())
-            band_total = int(band.sum())
-            counters.pairs_pruned_nib += self.k * m - band_total - int(
-                counts.sum()
-            )
-        for j in range(m):
-            idx = np.nonzero(band[:, j])[0]
-            if idx.size == 0:
-                continue
+            split.count_into(counters)
+        sets = split.verification_sets()
+        for j in np.flatnonzero(sets.sizes()).tolist():
             influenced = batch_validate_spans(
-                self.pf, self.positions, self.offsets, idx,
+                self.pf, self.positions, self.offsets, sets[j],
                 float(cand_xy[j, 0]), float(cand_xy[j, 1]),
                 self.log_threshold, counters,
             )

@@ -80,7 +80,7 @@ class TopKPrimeLS(LocationSelector):
         # Reuse PIN-VO's pruning phase verbatim.
         pruner = PinocchioVO()
         min_inf, vs_indexes = pruner.pruning_phase(table, cand_xy, counters)
-        max_inf = min_inf + np.array([v.size for v in vs_indexes], dtype=int)
+        max_inf = min_inf + vs_indexes.sizes()
 
         # ``min_inf`` doubles as the per-candidate certified lower bound
         # and rises in place during validation, so the Strategy-1 stop

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.base import LocationSelector, candidates_to_array
 from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunks
+from repro.core.pruning import classify_parts
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -75,28 +75,34 @@ class WeightedPrimeLS(LocationSelector):
         log_threshold = influence_threshold_log(tau)
         influence = np.zeros(m, dtype=float)
 
-        for chunk, ia, band in classify_chunks(table.entries, cand_xy):
+        entries = table.entries
+        for part in classify_parts(
+            *table.mbr_radius_arrays(), cand_xy, with_ia=True
+        ):
+            part.count_into(counters)
             chunk_weights = np.array(
-                [weight_by_id[e.obj.object_id] for e in chunk]
+                [
+                    weight_by_id[e.obj.object_id]
+                    for e in entries[part.start : part.stop]
+                ]
             )
-            ia_count = int(np.count_nonzero(ia))
-            band_count = int(np.count_nonzero(band))
-            counters.pairs_pruned_ia += ia_count
-            counters.pairs_pruned_nib += len(chunk) * m - ia_count - band_count
+            # Per part: the IA weights as one (weights @ IA matrix)
+            # product, then the validated hits entry by entry.  Parts
+            # are PART_ENTRIES aligned entries whatever grid the join
+            # picks, so the float sums (and so a near-tie between two
+            # candidates) never depend on the grid.
+            ia = np.zeros((part.objects, m), dtype=bool)
+            ia[part.ia_obj - part.start, part.ia_cand] = True
             influence += chunk_weights @ ia
-            rows, cols = np.nonzero(band)
-            boundaries = np.searchsorted(rows, np.arange(len(chunk) + 1))
-            for i, entry in enumerate(chunk):
-                maybe = cols[boundaries[i] : boundaries[i + 1]]
-                if not maybe.size:
-                    continue
+            for i, maybe in part.band_by_object():
+                obj = entries[i].obj
                 logs = batch_log_non_influence(
-                    pf, entry.obj.positions, cand_xy[maybe]
+                    pf, obj.positions, cand_xy[maybe]
                 )
                 influenced = logs <= log_threshold
-                influence[maybe[influenced]] += chunk_weights[i]
+                influence[maybe[influenced]] += chunk_weights[i - part.start]
                 counters.pairs_validated += maybe.size
-                n = entry.obj.n_positions
+                n = obj.n_positions
                 counters.positions_total += n * maybe.size
                 counters.positions_evaluated += n * maybe.size
 

@@ -60,6 +60,7 @@ from repro.core.naive import NaiveAlgorithm
 from repro.core.object_table import ObjectTable, fleet_to_columnar
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
+from repro.core.pruning import VerificationSets
 from repro.core.result import Instrumentation, LSResult, full_table_result
 from repro.core.sketch import (
     DEFAULT_SKETCH_DELTA,
@@ -201,11 +202,7 @@ def _pruning_nbytes(value: tuple) -> int:
     snapshot is a fixed-size dataclass and is ignored.
     """
     min_inf, vs_indexes, _snapshot = value
-    total = int(min_inf.nbytes)
-    for vs in vs_indexes:
-        if vs is not None:
-            total += int(vs.nbytes)
-    return total
+    return int(min_inf.nbytes) + vs_indexes.nbytes
 
 
 @dataclass
@@ -1298,7 +1295,8 @@ class QueryEngine:
                         table, cand_xy, prune_counters
                     )
             self._prunings[key] = (
-                min_inf.copy(), vs_indexes, _counts_only(prune_counters)
+                min_inf.copy(), vs_indexes.packed(),
+                _counts_only(prune_counters),
             )
             counters.merge(prune_counters)
             prune_span.finish(cached=False)
@@ -1416,7 +1414,7 @@ class QueryEngine:
         algorithm_kwargs: dict,
         prune_counters: Instrumentation,
         prune_span=NOOP_SPAN,
-    ) -> tuple[np.ndarray, list]:
+    ) -> tuple[np.ndarray, VerificationSets]:
         """PIN-VO's pruning phase through the persistent pool."""
         m = cand_xy.shape[0]
         pool = self._pool_for(workers)
@@ -1427,14 +1425,14 @@ class QueryEngine:
         )
         outputs = pool.run_batch(tasks, supervisor)
         min_inf = np.zeros(m, dtype=int)
-        vs_indexes: list[np.ndarray] = [None] * m  # type: ignore[list-item]
+        parts = []
         for task in tasks:
             (mi, vs), span_counters, record = outputs[task.task_id]
             min_inf[task.lo:task.hi] = mi
-            vs_indexes[task.lo:task.hi] = vs
+            parts.append(vs)
             prune_counters.merge(span_counters)
             prune_span.attach(record)
-        return min_inf, vs_indexes
+        return min_inf, VerificationSets.concat(parts)
 
     # ------------------------------------------------------------------
     # Batched admission
@@ -1788,15 +1786,17 @@ class QueryEngine:
         if plan.pruning == "dispatch":
             prune_counters = Instrumentation()
             min_inf = np.zeros(m, dtype=int)
-            vs_indexes: list[np.ndarray] = [None] * m  # type: ignore[list-item]
+            parts = []
             with trace.child("merge"):
                 for task in plan.tasks:
                     (mi, vs), span_counters, _record = outputs[task.task_id]
                     min_inf[task.lo:task.hi] = mi
-                    vs_indexes[task.lo:task.hi] = vs
+                    parts.append(vs)
                     prune_counters.merge(span_counters)
+                vs_indexes = VerificationSets.concat(parts)
                 self._prunings[plan.pruning_key] = (
-                    min_inf.copy(), vs_indexes, _counts_only(prune_counters)
+                    min_inf.copy(), vs_indexes.packed(),
+                    _counts_only(prune_counters),
                 )
             counters.merge(prune_counters)
         else:
@@ -1815,7 +1815,7 @@ class QueryEngine:
                         plan.table, plan.cand_xy, prune_counters
                     )
                 self._prunings[plan.pruning_key] = (
-                    min_inf.copy(), vs_indexes,
+                    min_inf.copy(), vs_indexes.packed(),
                     _counts_only(prune_counters),
                 )
                 counters.merge(prune_counters)

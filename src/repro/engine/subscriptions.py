@@ -519,9 +519,9 @@ class SubscriptionEngine:
             a_idx = np.nonzero(alive)[0]
             a_mbrs = mbrs[a_idx]
             a_radii = radii[a_idx]
-            ia, band = classify_span(a_mbrs, a_radii, cand_xy)
-            infl = ia.copy()
-            for i, j in np.argwhere(band):
+            split = classify_span(a_mbrs, a_radii, cand_xy, with_ia=True)
+            hit_obj, hit_cand = [split.ia_obj], [split.ia_cand]
+            for i, j in zip(split.band_obj.tolist(), split.band_cand.tolist()):
                 slot = int(live[a_idx[i]])
                 oid = self._slot_oid[slot]
                 positions = np.array(self._windows[oid], dtype=float)
@@ -532,9 +532,12 @@ class SubscriptionEngine:
                     group.log_threshold, counters=self.counters,
                     kernel="vector", early_stop=True,
                 ):
-                    infl[i, j] = True
-            sub.influence += infl.sum(axis=0, dtype=np.int64)
-            for i, j in np.argwhere(infl):
+                    hit_obj.append(np.array([i]))
+                    hit_cand.append(np.array([j]))
+            hit_obj = np.concatenate(hit_obj)
+            hit_cand = np.concatenate(hit_cand)
+            sub.influence += np.bincount(hit_cand, minlength=m)
+            for i, j in zip(hit_obj.tolist(), hit_cand.tolist()):
                 oid = self._slot_oid[int(live[a_idx[i]])]
                 self._mark(group, oid, sub.sub_id).add(int(j))
             new_min[a_idx] = margins_span(

@@ -294,6 +294,12 @@ class TestBatchValidateSpans:
         )
         np.testing.assert_array_equal(got, want)
         assert got_counters == want_counters
+        # verification sets hand the kernel uint32 rows
+        got = batch_validate_spans(
+            pf, positions, offsets, idx.astype(np.uint32), cx, cy, log_thr,
+            head=head,
+        )
+        np.testing.assert_array_equal(got, want)
 
     def test_empty_span(self, pf):
         objects = [np.zeros((3, 2))]

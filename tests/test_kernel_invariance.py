@@ -1,8 +1,8 @@
 """Exactness must be invariant to every batching/tuning knob.
 
-Chunk sizes, batch sizes and classification chunking are performance
-knobs; none of them may change any answer.  These tests sweep the knobs
-over shared random instances.
+Chunk sizes, batch sizes, the classification join's block size and its
+grid are performance knobs; none of them may change any answer.  These
+tests sweep the knobs over shared random instances.
 """
 
 import numpy as np
@@ -16,11 +16,12 @@ from repro.core.influence import (
 from repro.core.naive import NaiveAlgorithm
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
-from repro.core.pruning import classify_chunks
+from repro.core.pruning import join_cells
 from repro.core.object_table import ObjectTable
 from repro.prob import PowerLawPF
 
 from tests.helpers import make_candidates, make_objects
+from tests.oracles import ia_sets
 
 PF = PowerLawPF()
 
@@ -64,21 +65,23 @@ class TestChunkInvariance:
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 8, 4096])
     def test_classification_chunk_size(self, instance, chunk_size):
+        # The join's block size bounds its transients and must not move
+        # a single pair, on the 1x1 grid and on a fine one alike.
         objects, candidates = instance
         cand_xy = np.array([(c.x, c.y) for c in candidates])
         table = ObjectTable(objects, PF, 0.7)
-        base_ia, base_band = [], []
-        for __, ia, band in classify_chunks(table.entries, cand_xy):
-            base_ia.append(ia)
-            base_band.append(band)
-        got_ia, got_band = [], []
-        for __, ia, band in classify_chunks(
-            table.entries, cand_xy, chunk_size=chunk_size
-        ):
-            got_ia.append(ia)
-            got_band.append(band)
-        np.testing.assert_array_equal(np.vstack(got_ia), np.vstack(base_ia))
-        np.testing.assert_array_equal(np.vstack(got_band), np.vstack(base_band))
+        mbrs, radii = table.mbr_radius_arrays()
+        for grid in [(1, 1), (5, 4)]:
+            base = join_cells(mbrs, radii, cand_xy, grid, with_ia=True)
+            got = join_cells(
+                mbrs, radii, cand_xy, grid, with_ia=True,
+                block_pairs=chunk_size,
+            )
+            np.testing.assert_array_equal(got.ia_counts, base.ia_counts)
+            for g, b in zip(ia_sets(got), ia_sets(base)):
+                np.testing.assert_array_equal(g, b)
+            for g, b in zip(got.verification_sets(), base.verification_sets()):
+                np.testing.assert_array_equal(g, b)
 
     @pytest.mark.parametrize("batch", [1, 5, 64, 100_000])
     def test_pinvo_batch_objects(self, instance, batch):
